@@ -1,6 +1,7 @@
 """Trace-data SRL feature pipeline: ingest, sessionize, featurize, boost, compare."""
 
 from .trace_model import (
+    DataError,
     GbdtParams,
     PipelineConfig,
     QuizAttempt,
@@ -47,6 +48,7 @@ from .learner import (
     GbdtModel,
     InsufficientGroups,
     InvalidDataset,
+    InvalidModel,
     evaluate,
     fit,
     gain_importance,

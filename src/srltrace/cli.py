@@ -12,28 +12,14 @@ import csv
 import json
 import os
 import sys
-from dataclasses import fields
-from pathlib import Path
+import traceback
+from dataclasses import asdict, fields
 
 from . import learner, synthgen
-from .features import (
-    EmptyStore,
-    assemble_dataset,
-    load_dataset_csv,
-    save_dataset_csv,
-)
-from .ingest import (
-    InconsistentAttempts,
-    MalformedAttempt,
-    MalformedEvent,
-    build_store,
-    load_store,
-    parse_attempts,
-    parse_events,
-    save_store,
-)
-from .sessionize import UnsortedInput, segment_sessions
-from .trace_model import GbdtParams, PipelineConfig, SessionizerConfig
+from .features import assemble_dataset, load_dataset_csv, save_dataset_csv
+from .ingest import build_store, load_store, parse_attempts, parse_events, save_store
+from .sessionize import segment_sessions
+from .trace_model import DataError, GbdtParams, InvalidConfig, PipelineConfig, SessionizerConfig, in_file
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -44,19 +30,7 @@ CONFIG_ENV_VAR = "SRL_TRACE_CONFIG"
 
 _SESSIONIZER_KEYS = {f.name for f in fields(SessionizerConfig)}
 _GBDT_KEYS = {f.name for f in fields(GbdtParams)}
-_PIPELINE_KEYS = {
-    "pass_fraction",
-    "decision_threshold",
-    "feature_set",
-    "srl_only",
-    "test_fraction",
-    "split_seed",
-    "importance_repeats",
-}
-
-
-class DataError(Exception):
-    pass
+_PIPELINE_KEYS = {f.name for f in fields(PipelineConfig)} - {"sessionizer", "gbdt"}
 
 
 def _load_config_file(path: str | None) -> dict:
@@ -64,16 +38,13 @@ def _load_config_file(path: str | None) -> dict:
         path = os.environ.get(CONFIG_ENV_VAR)
     if not path:
         return {}
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise DataError(f"{path}: cannot read config file: {exc}") from exc
-    if not isinstance(obj, dict):
-        raise DataError(f"{path}: config file must hold a JSON object")
-    unknown = set(obj) - _SESSIONIZER_KEYS - _GBDT_KEYS - _PIPELINE_KEYS
-    if unknown:
-        raise DataError(f"{path}: unknown config keys {sorted(unknown)}")
+    with in_file(path), open(path, "r", encoding="utf-8") as fh:
+        obj = json.load(fh)
+        if not isinstance(obj, dict):
+            raise DataError("config file must hold a JSON object")
+        unknown = set(obj) - _SESSIONIZER_KEYS - _GBDT_KEYS - _PIPELINE_KEYS
+        if unknown:
+            raise DataError(f"unknown config keys {sorted(unknown)}")
     return obj
 
 
@@ -105,24 +76,12 @@ def _cmd_synth(args, file_cfg: dict) -> int:
 
 
 def _cmd_ingest(args, file_cfg: dict) -> int:
-    try:
-        with open(args.events, "r", encoding="utf-8") as fh:
-            events = parse_events(fh)
-    except (MalformedEvent,) as exc:
-        raise DataError(f"{args.events}: {exc}") from exc
-    except OSError as exc:
-        raise DataError(f"{args.events}: {exc}") from exc
-    try:
-        with open(args.attempts, "r", encoding="utf-8") as fh:
-            attempts = parse_attempts(fh)
-    except (MalformedAttempt,) as exc:
-        raise DataError(f"{args.attempts}: {exc}") from exc
-    except OSError as exc:
-        raise DataError(f"{args.attempts}: {exc}") from exc
-    try:
+    with in_file(args.events), open(args.events, "r", encoding="utf-8") as fh:
+        events = parse_events(fh)
+    with in_file(args.attempts), open(args.attempts, "r", encoding="utf-8") as fh:
+        attempts = parse_attempts(fh)
+    with in_file(args.attempts):
         store = build_store(events, attempts)
-    except InconsistentAttempts as exc:
-        raise DataError(f"{args.attempts}: {exc}") from exc
     save_store(store, args.out)
     print(f"wrote store with {store.n_events} events, {store.n_attempts} attempts to {args.out}")
     return EXIT_OK
@@ -130,7 +89,7 @@ def _cmd_ingest(args, file_cfg: dict) -> int:
 
 def _cmd_sessionize(args, file_cfg: dict) -> int:
     cfg = _resolve_config(file_cfg, {})
-    store = _load_store(args.store)
+    store = load_store(args.store)
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(
@@ -164,22 +123,11 @@ def _cmd_sessionize(args, file_cfg: dict) -> int:
     return EXIT_OK
 
 
-def _load_store(store_dir: str):
-    try:
-        return load_store(store_dir)
-    except (MalformedEvent, MalformedAttempt, InconsistentAttempts, UnsortedInput) as exc:
-        raise DataError(f"{store_dir}: {exc}") from exc
-    except OSError as exc:
-        raise DataError(f"{store_dir}: {exc}") from exc
-
-
 def _cmd_features(args, file_cfg: dict) -> int:
     cfg = _resolve_config(file_cfg, {"feature_set": args.set})
-    store = _load_store(args.store)
-    try:
+    store = load_store(args.store)
+    with in_file(args.store):
         dataset = assemble_dataset(store, args.set, cfg)
-    except EmptyStore as exc:
-        raise DataError(f"{args.store}: {exc}") from exc
     save_dataset_csv(dataset, args.out)
     print(f"wrote {dataset.n_rows} rows x {len(dataset.feature_names)} features to {args.out}")
     return EXIT_OK
@@ -193,14 +141,9 @@ def _cmd_train(args, file_cfg: dict) -> int:
         "seed": args.seed,
     }
     cfg = _resolve_config(file_cfg, overrides)
-    try:
+    with in_file(args.features):
         dataset = load_dataset_csv(args.features)
-    except (OSError, ValueError) as exc:
-        raise DataError(f"{args.features}: {exc}") from exc
-    try:
         model = learner.fit(dataset, cfg.gbdt)
-    except learner.InvalidDataset as exc:
-        raise DataError(f"{args.features}: {exc}") from exc
     learner.save_model(model, args.model)
     print(f"trained {len(model.trees)} trees on {dataset.n_rows} rows; saved to {args.model}")
     return EXIT_OK
@@ -208,24 +151,17 @@ def _cmd_train(args, file_cfg: dict) -> int:
 
 def _cmd_evaluate(args, file_cfg: dict) -> int:
     cfg = _resolve_config(file_cfg, {"decision_threshold": args.threshold})
-    try:
+    with in_file(args.model):
         model = learner.load_model(args.model)
-    except (OSError, ValueError, KeyError) as exc:
-        raise DataError(f"{args.model}: {exc}") from exc
-    try:
+    with in_file(args.features):
         dataset = load_dataset_csv(args.features)
-    except (OSError, ValueError) as exc:
-        raise DataError(f"{args.features}: {exc}") from exc
-    try:
         report = learner.evaluate(
             model,
             dataset,
             decision_threshold=cfg.decision_threshold,
             importance_repeats=cfg.importance_repeats,
         )
-    except learner.ArityMismatch as exc:
-        raise DataError(f"{args.features}: {exc}") from exc
-    report.config = cfg.to_dict()
+    report.config = asdict(cfg)
     _write_json(args.report, report.to_dict())
     print(f"accuracy {report.accuracy:.4f} on {report.n_rows} rows; report at {args.report}")
     return EXIT_OK
@@ -233,11 +169,9 @@ def _cmd_evaluate(args, file_cfg: dict) -> int:
 
 def _cmd_compare(args, file_cfg: dict) -> int:
     cfg = _resolve_config(file_cfg, {"split_seed": args.seed})
-    store = _load_store(args.store)
-    try:
+    store = load_store(args.store)
+    with in_file(args.store):
         report = learner.run_comparison(store, cfg)
-    except (EmptyStore, learner.InsufficientGroups, learner.InvalidDataset) as exc:
-        raise DataError(f"{args.store}: {exc}") from exc
     _write_json(args.report, report.to_dict())
     print(
         f"baseline {report.baseline.accuracy:.4f}, srl {report.srl.accuracy:.4f}, "
@@ -252,7 +186,6 @@ def _build_parser() -> argparse.ArgumentParser:
         description="SRL trace-data feature pipeline and boosted-tree comparison runs.",
     )
     parser.add_argument("--config", help="JSON config file (keys mirror config field names)")
-    parser.add_argument("--jobs", type=int, default=1, help="worker cap (results are identical)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate a synthetic cohort")
@@ -304,22 +237,20 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv: list[str]) -> int:
-    parser = _build_parser()
+    """Run one stage; the only place where an exception becomes an exit code."""
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
+        args = _build_parser().parse_args(argv)
+        return args.func(args, _load_config_file(args.config))
+    except SystemExit as exc:  # argparse: 0 after --help, 2 on a usage error
         return EXIT_OK if exc.code == 0 else EXIT_USAGE
-    try:
-        file_cfg = _load_config_file(args.config)
-        return args.func(args, file_cfg)
-    except DataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except (ValueError, synthgen.InvalidConfig) as exc:
+    except InvalidConfig as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except Exception as exc:  # pragma: no cover - defensive
-        print(f"internal error: {exc}", file=sys.stderr)
+    except (DataError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_DATA
+    except Exception:  # a bug, not a bad input: show where it happened
+        traceback.print_exc()
         return EXIT_INTERNAL
 
 

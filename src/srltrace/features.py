@@ -17,7 +17,7 @@ import numpy as np
 
 from .ingest import TraceStore
 from .sessionize import count_backscrolls, reading_speed, reading_window, segment_sessions
-from .trace_model import PipelineConfig, QuizAttempt
+from .trace_model import DataError, PipelineConfig, QuizAttempt
 
 BASELINE_FEATURES = [
     "reading_sessions",
@@ -53,7 +53,11 @@ SRL_PHASE_TAGS = {
 }
 
 
-class EmptyStore(ValueError):
+class EmptyStore(DataError):
+    pass
+
+
+class InvalidDataset(DataError):
     pass
 
 
@@ -178,7 +182,7 @@ def assemble_dataset(store: TraceStore, feature_set: str, cfg: PipelineConfig) -
             values.update(srl_features(store, att, cfg))
         row = [values[c] for c in columns]
         if not all(np.isfinite(row)):
-            raise ValueError(f"non-finite feature value for attempt {att}")
+            raise InvalidDataset(f"non-finite feature value for attempt {att}")
         keys.append((att.student_id, att.quiz_id, att.attempt_index))
         rows.append(row)
         labels.append(label_attempt(att, cfg))
@@ -214,17 +218,22 @@ def load_dataset_csv(path: str | Path | IO[str]) -> Dataset:
     fh = open(path, "r", encoding="utf-8", newline="") if own else path
     try:
         reader = csv.reader(fh)
-        header = next(reader)
-        if header[:3] != ["student_id", "quiz_id", "attempt_index"] or header[-1] != "label":
-            raise ValueError("unexpected feature CSV header")
+        header = next(reader, [])
+        if header[:3] != ["student_id", "quiz_id", "attempt_index"] or len(header) < 4 or header[-1] != "label":
+            raise InvalidDataset("line 1: header must be student_id,quiz_id,attempt_index,<features...>,label")
         names = tuple(header[3:-1])
         keys, rows, labels = [], [], []
         for row in reader:
             if not row:
                 continue
-            keys.append((row[0], row[1], int(row[2])))
-            rows.append([float(v) for v in row[3:-1]])
-            labels.append(float(row[-1]))
+            if len(row) != len(header):
+                raise InvalidDataset(f"line {reader.line_num}: expected {len(header)} fields, got {len(row)}")
+            try:
+                keys.append((row[0], row[1], int(row[2])))
+                rows.append([float(v) for v in row[3:-1]])
+                labels.append(float(row[-1]))
+            except ValueError as exc:
+                raise InvalidDataset(f"line {reader.line_num}: {exc}") from None
     finally:
         if own:
             fh.close()

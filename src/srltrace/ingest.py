@@ -3,13 +3,12 @@
 from __future__ import annotations
 
 import csv
-import io
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Iterable
+from typing import Iterable
 
-from .trace_model import QuizAttempt, ScrollEvent, normalize_events
+from .trace_model import DataError, QuizAttempt, ScrollEvent, in_file, is_finite_number, normalize_events
 
 ATTEMPTS_HEADER = "student_id,quiz_id,attempt_index,start_ts_ms,end_ts_ms,score,max_score"
 
@@ -18,21 +17,21 @@ ATTEMPTS_FILENAME = "attempts.csv"
 MANIFEST_FILENAME = "manifest.json"
 
 
-class MalformedEvent(ValueError):
+class MalformedEvent(DataError):
     def __init__(self, line_number: int, reason: str) -> None:
         super().__init__(f"line {line_number}: {reason}")
         self.line_number = line_number
         self.reason = reason
 
 
-class MalformedAttempt(ValueError):
+class MalformedAttempt(DataError):
     def __init__(self, line_number: int, reason: str) -> None:
         super().__init__(f"line {line_number}: {reason}")
         self.line_number = line_number
         self.reason = reason
 
 
-class InconsistentAttempts(ValueError):
+class InconsistentAttempts(DataError):
     def __init__(self, student_id: str, quiz_id: str, reason: str) -> None:
         super().__init__(f"({student_id}, {quiz_id}): {reason}")
         self.student_id = student_id
@@ -40,30 +39,17 @@ class InconsistentAttempts(ValueError):
         self.reason = reason
 
 
-def _as_text(stream: IO | Iterable[str]) -> Iterable[str]:
-    if isinstance(stream, (bytes, bytearray)):
-        return io.StringIO(stream.decode("utf-8"))
-    if isinstance(stream, str):
-        return io.StringIO(stream)
-    first = getattr(stream, "read", None)
-    if first is not None and isinstance(getattr(stream, "mode", "r"), str) and "b" in getattr(stream, "mode", "r"):
-        return io.TextIOWrapper(stream, encoding="utf-8")
-    return stream
-
-
 def _require_number(obj: dict, key: str, line_number: int) -> float:
     val = obj.get(key)
-    if isinstance(val, bool) or not isinstance(val, (int, float)):
-        raise MalformedEvent(line_number, f"field {key!r} missing or not a number")
+    if not is_finite_number(val):
+        raise MalformedEvent(line_number, f"field {key!r} missing or not a finite number")
     return float(val)
 
 
-def parse_events(stream: IO | Iterable[str] | bytes | str, format: str = "jsonl") -> list[ScrollEvent]:
+def parse_events(stream: Iterable[str]) -> list[ScrollEvent]:
     """Parse a JSON Lines event stream; aborts on the first malformed line."""
-    if format != "jsonl":
-        raise ValueError(f"unsupported event format {format!r}")
     events: list[ScrollEvent] = []
-    for line_number, line in enumerate(_as_text(stream), start=1):
+    for line_number, line in enumerate(stream, start=1):
         if not line.strip():
             continue
         try:
@@ -102,11 +88,9 @@ def parse_events(stream: IO | Iterable[str] | bytes | str, format: str = "jsonl"
     return events
 
 
-def parse_attempts(stream: IO | Iterable[str] | bytes | str, format: str = "csv") -> list[QuizAttempt]:
+def parse_attempts(stream: Iterable[str]) -> list[QuizAttempt]:
     """Parse the quiz attempts CSV; the header must match exactly."""
-    if format != "csv":
-        raise ValueError(f"unsupported attempt format {format!r}")
-    reader = csv.reader(_as_text(stream))
+    reader = csv.reader(stream)
     try:
         header = next(reader)
     except StopIteration:
@@ -120,6 +104,9 @@ def parse_attempts(stream: IO | Iterable[str] | bytes | str, format: str = "csv"
         if len(row) != 7:
             raise MalformedAttempt(line_number, f"expected 7 fields, got {len(row)}")
         try:
+            score, max_score = float(row[5]), float(row[6])
+            if not is_finite_number(score) or not is_finite_number(max_score):
+                raise ValueError("score and max_score must be finite numbers")
             attempts.append(
                 QuizAttempt(
                     student_id=row[0],
@@ -127,8 +114,8 @@ def parse_attempts(stream: IO | Iterable[str] | bytes | str, format: str = "csv"
                     attempt_index=int(row[2]),
                     start_ts_ms=int(row[3]),
                     end_ts_ms=int(row[4]),
-                    score=float(row[5]),
-                    max_score=float(row[6]),
+                    score=score,
+                    max_score=max_score,
                 )
             )
         except ValueError as exc:
@@ -255,8 +242,8 @@ def save_store(store: TraceStore, out_dir: str | Path) -> None:
 def load_store(in_dir: str | Path) -> TraceStore:
     """Rebuild a store from a directory holding events JSONL + attempts CSV."""
     src = Path(in_dir)
-    with open(src / EVENTS_FILENAME, "r", encoding="utf-8") as fh:
+    with in_file(src / EVENTS_FILENAME), open(src / EVENTS_FILENAME, "r", encoding="utf-8") as fh:
         events = parse_events(fh)
-    with open(src / ATTEMPTS_FILENAME, "r", encoding="utf-8") as fh:
+    with in_file(src / ATTEMPTS_FILENAME), open(src / ATTEMPTS_FILENAME, "r", encoding="utf-8") as fh:
         attempts = parse_attempts(fh)
-    return build_store(events, attempts)
+        return build_store(events, attempts)

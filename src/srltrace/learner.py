@@ -11,28 +11,34 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
-from .features import Dataset, assemble_dataset
+from .features import Dataset, InvalidDataset, assemble_dataset
 from .ingest import TraceStore
-from .trace_model import GbdtParams, PipelineConfig
+from .trace_model import DataError, GbdtParams, InvalidConfig, PipelineConfig, is_finite_number
 
 MODEL_FORMAT_VERSION = 1
 
 
-class InvalidDataset(ValueError):
+class ArityMismatch(DataError):
     pass
 
 
-class ArityMismatch(ValueError):
+class InsufficientGroups(DataError):
     pass
 
 
-class InsufficientGroups(ValueError):
+class InvalidModel(DataError):
     pass
+
+
+def _finite_float(value, what: str) -> float:
+    if not isinstance(value, float) or not is_finite_number(value):
+        raise InvalidModel(f"{what} must be a finite float, got {value!r}")
+    return value
 
 
 @dataclass
@@ -61,12 +67,16 @@ class TreeNode:
         }
 
     @staticmethod
-    def from_dict(obj: dict) -> "TreeNode":
-        if "v" in obj:
-            return TreeNode(value=float(obj["v"]))
+    def from_dict(obj) -> "TreeNode":
+        if isinstance(obj, dict) and obj.keys() == {"v"}:
+            return TreeNode(value=_finite_float(obj["v"], "leaf value"))
+        if not isinstance(obj, dict) or obj.keys() != {"f", "t", "l", "r"}:
+            raise InvalidModel(f"tree node {str(obj)[:60]} has neither the keys {{v}} nor {{f, t, l, r}}")
+        if type(obj["f"]) is not int:
+            raise InvalidModel(f"feature_index must be an integer, got {obj['f']!r}")
         return TreeNode(
-            feature_index=int(obj["f"]),
-            threshold=float(obj["t"]),
+            feature_index=obj["f"],
+            threshold=_finite_float(obj["t"], "threshold"),
             left=TreeNode.from_dict(obj["l"]),
             right=TreeNode.from_dict(obj["r"]),
         )
@@ -191,8 +201,7 @@ def _tree_values(node: TreeNode, X: np.ndarray) -> np.ndarray:
     return out
 
 
-def fit(dataset: Dataset, params: GbdtParams) -> GbdtModel:
-    """Train the boosted ensemble; training loss must not increase per round."""
+def _checked_arrays(dataset: Dataset) -> tuple[np.ndarray, np.ndarray]:
     X = np.asarray(dataset.X, dtype=float)
     y = np.asarray(dataset.y, dtype=float)
     if len(y) == 0:
@@ -201,7 +210,12 @@ def fit(dataset: Dataset, params: GbdtParams) -> GbdtModel:
         raise InvalidDataset("dataset contains non-finite feature values")
     if not np.all((y == 0.0) | (y == 1.0)):
         raise InvalidDataset("labels must be binary 0/1")
+    return X, y
 
+
+def fit(dataset: Dataset, params: GbdtParams) -> GbdtModel:
+    """Train the boosted ensemble; training loss must not increase per round."""
+    X, y = _checked_arrays(dataset)
     p0 = min(max(float(np.mean(y)), 1e-6), 1.0 - 1e-6)
     base = math.log(p0 / (1.0 - p0))
     logits = np.full(len(y), base)
@@ -326,17 +340,21 @@ def _accuracy(model: GbdtModel, X: np.ndarray, y: np.ndarray, threshold: float) 
     return float(np.mean(pred == y))
 
 
+def _split_nodes(trees: list[TreeNode]):
+    """Every internal node of the trees, depth first."""
+    stack = list(trees)
+    while stack:
+        nd = stack.pop()
+        if not nd.is_leaf:
+            yield nd
+            stack += (nd.left, nd.right)
+
+
 def gain_importance(model: GbdtModel) -> dict[str, float]:
     """Total split gain per feature across all trees (0 for unused features)."""
     totals = {name: 0.0 for name in model.feature_names}
-    stack = list(model.trees)
-    while stack:
-        nd = stack.pop()
-        if nd.is_leaf:
-            continue
+    for nd in _split_nodes(model.trees):
         totals[model.feature_names[nd.feature_index]] += nd.gain
-        stack.append(nd.left)
-        stack.append(nd.right)
     return totals
 
 
@@ -374,8 +392,12 @@ def evaluate(
     importance_seed: int | None = None,
 ) -> EvalReport:
     """Threshold predictions, compute the confusion matrix and importances."""
-    y = np.asarray(dataset.y, dtype=float)
-    pred = (predict_proba_matrix(model, dataset.X) >= decision_threshold).astype(float)
+    if tuple(dataset.feature_names) != tuple(model.feature_names):
+        raise ArityMismatch(
+            f"feature columns {list(dataset.feature_names)} differ from the model's {list(model.feature_names)}"
+        )
+    X, y = _checked_arrays(dataset)
+    pred = (predict_proba_matrix(model, X) >= decision_threshold).astype(float)
     conf = confusion_counts(y, pred)
     accuracy, precision, recall, f1 = _metrics(conf)
     seed = model.params.seed if importance_seed is None else importance_seed
@@ -447,19 +469,8 @@ def run_comparison(store: TraceStore, cfg: PipelineConfig) -> ComparisonReport:
         test_fraction=cfg.test_fraction,
         train_students=train_students,
         test_students=test_students,
-        config=cfg.to_dict(),
+        config=asdict(cfg),
     )
-
-
-def _params_to_dict(params: GbdtParams) -> dict:
-    return {
-        "n_rounds": params.n_rounds,
-        "max_depth": params.max_depth,
-        "learning_rate": params.learning_rate,
-        "lambda_l2": params.lambda_l2,
-        "min_child_weight": params.min_child_weight,
-        "seed": params.seed,
-    }
 
 
 def model_to_dict(model: GbdtModel) -> dict:
@@ -467,19 +478,36 @@ def model_to_dict(model: GbdtModel) -> dict:
         "format_version": MODEL_FORMAT_VERSION,
         "feature_names": list(model.feature_names),
         "base_score_logit": model.base_score_logit,
-        "params": _params_to_dict(model.params),
+        "params": asdict(model.params),
         "trees": [t.to_dict() for t in model.trees],
     }
 
 
-def model_from_dict(obj: dict) -> GbdtModel:
-    if obj.get("format_version") != MODEL_FORMAT_VERSION:
-        raise ValueError(f"unsupported model format_version {obj.get('format_version')!r}")
+def model_from_dict(obj) -> GbdtModel:
+    """Rebuild a model, rejecting anything `model_to_dict` does not write."""
+    expected = {"format_version", "feature_names", "base_score_logit", "params", "trees"}
+    if not isinstance(obj, dict) or obj.keys() != expected or obj["format_version"] != MODEL_FORMAT_VERSION:
+        raise InvalidModel(f"expected a JSON object with the keys {sorted(expected)} and format_version 1")
+    names, params, trees = obj["feature_names"], obj["params"], obj["trees"]
+    if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
+        raise InvalidModel("feature_names must be a list of strings")
+    if not isinstance(params, dict) or params.keys() != {f.name for f in fields(GbdtParams)}:
+        raise InvalidModel(f"params keys must be {[f.name for f in fields(GbdtParams)]}")
+    if not isinstance(trees, list):
+        raise InvalidModel("trees must be a list")
+    try:
+        params = GbdtParams(**params)
+    except InvalidConfig as exc:
+        raise InvalidModel(f"params: {exc}") from None
+    trees = [TreeNode.from_dict(t) for t in trees]
+    for nd in _split_nodes(trees):
+        if not 0 <= nd.feature_index < len(names):
+            raise InvalidModel(f"feature_index {nd.feature_index} is out of range for {len(names)} features")
     return GbdtModel(
-        base_score_logit=float(obj["base_score_logit"]),
-        trees=[TreeNode.from_dict(t) for t in obj["trees"]],
-        feature_names=tuple(obj["feature_names"]),
-        params=GbdtParams(**obj["params"]),
+        base_score_logit=_finite_float(obj["base_score_logit"], "base_score_logit"),
+        trees=trees,
+        feature_names=tuple(names),
+        params=params,
     )
 
 

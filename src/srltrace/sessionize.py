@@ -14,10 +14,10 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .ingest import TraceStore
-from .trace_model import QuizAttempt, ReadingSession, ScrollEvent, SessionizerConfig
+from .trace_model import DataError, QuizAttempt, ReadingSession, ScrollEvent, SessionizerConfig
 
 
-class UnsortedInput(ValueError):
+class UnsortedInput(DataError):
     pass
 
 

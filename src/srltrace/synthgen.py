@@ -23,7 +23,7 @@ from .ingest import (
     attempt_to_csv_row,
     event_to_json_line,
 )
-from .trace_model import QuizAttempt, ScrollEvent
+from .trace_model import InvalidConfig, QuizAttempt, ScrollEvent
 
 TRUTH_FILENAME = "truth.json"
 
@@ -79,10 +79,6 @@ CALIBRATION = {
     "break_prob": 0.25,
     "noise_logit_scale": 2.0,       # label noise: logit sd = noise * this
 }
-
-
-class InvalidConfig(ValueError):
-    pass
 
 
 @dataclass(frozen=True)

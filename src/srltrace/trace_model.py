@@ -6,9 +6,56 @@ throughout and converted to minutes only when features are emitted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import sys
+from contextlib import contextmanager
+from dataclasses import dataclass, field, fields
+from numbers import Integral
 
 EVENT_KINDS = ("scroll", "pageload")
+MAX_TS_MS = 2**63  # int64 epoch ms; a longer attempt would overflow its float duration
+
+
+class DataError(ValueError):
+    """An input file, or the data read from it, is at fault (CLI exit 2)."""
+
+
+class InvalidConfig(ValueError):
+    """A configuration value is out of range or of the wrong type (CLI exit 1)."""
+
+
+@contextmanager
+def in_file(path):
+    """Name `path` in any value error raised in the block, which becomes a DataError."""
+    try:
+        yield
+    except DataError as exc:
+        exc.args = (f"{path}: {exc}",)
+        raise
+    except ValueError as exc:
+        raise DataError(f"{path}: {exc}") from exc
+
+
+_FLOAT_MAX = sys.float_info.max
+
+
+def is_finite_number(value) -> bool:
+    """An int or float that converts to a finite float; bools are not numbers here."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and -_FLOAT_MAX <= value <= _FLOAT_MAX
+
+
+def _check_types(cfg) -> None:
+    """Raise InvalidConfig naming the first scalar field whose value has the wrong type."""
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        ok = {
+            "int": isinstance(value, Integral) and not isinstance(value, bool),
+            "float": is_finite_number(value),
+            "str": isinstance(value, str),
+            "bool": isinstance(value, bool),
+        }.get(f.type, True)
+        if not ok:
+            kind = "a finite number" if f.type == "float" else f"of type {f.type}"
+            raise InvalidConfig(f"{f.name} must be {kind}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -62,6 +109,8 @@ class QuizAttempt:
             raise ValueError(
                 f"end_ts_ms {self.end_ts_ms} before start_ts_ms {self.start_ts_ms}"
             )
+        if self.start_ts_ms < 0 or self.end_ts_ms >= MAX_TS_MS:
+            raise ValueError("start_ts_ms and end_ts_ms must be in [0, 2**63)")
         if self.max_score <= 0:
             raise ValueError(f"max_score must be > 0, got {self.max_score}")
         if self.score < 0:
@@ -116,9 +165,10 @@ class SessionizerConfig:
     backscroll_epsilon_px: float = 50.0
 
     def __post_init__(self) -> None:
-        for name in ("break_gap_ms", "top_band_px", "min_depth_px", "backscroll_epsilon_px"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be strictly positive")
+        _check_types(self)
+        for f in fields(self):
+            if getattr(self, f.name) <= 0:
+                raise InvalidConfig(f"{f.name} must be strictly positive")
 
 
 @dataclass(frozen=True)
@@ -133,16 +183,19 @@ class GbdtParams:
     seed: int = 7
 
     def __post_init__(self) -> None:
+        _check_types(self)
         if self.n_rounds < 1:
-            raise ValueError("n_rounds must be >= 1")
+            raise InvalidConfig("n_rounds must be >= 1")
         if self.max_depth < 1:
-            raise ValueError("max_depth must be >= 1")
+            raise InvalidConfig("max_depth must be >= 1")
         if not 0.0 < self.learning_rate <= 1.0:
-            raise ValueError("learning_rate must be in (0, 1]")
+            raise InvalidConfig("learning_rate must be in (0, 1]")
         if self.lambda_l2 < 0:
-            raise ValueError("lambda_l2 must be >= 0")
+            raise InvalidConfig("lambda_l2 must be >= 0")
         if self.min_child_weight < 0:
-            raise ValueError("min_child_weight must be >= 0")
+            raise InvalidConfig("min_child_weight must be >= 0")
+        if self.seed < 0:
+            raise InvalidConfig("seed must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -160,39 +213,19 @@ class PipelineConfig:
     importance_repeats: int = 20
 
     def __post_init__(self) -> None:
+        _check_types(self)
         if not 0.0 < self.pass_fraction <= 1.0:
-            raise ValueError("pass_fraction must be in (0, 1]")
+            raise InvalidConfig("pass_fraction must be in (0, 1]")
         if not 0.0 < self.decision_threshold < 1.0:
-            raise ValueError("decision_threshold must be in (0, 1)")
+            raise InvalidConfig("decision_threshold must be in (0, 1)")
         if self.feature_set not in ("baseline", "srl"):
-            raise ValueError("feature_set must be 'baseline' or 'srl'")
+            raise InvalidConfig("feature_set must be 'baseline' or 'srl'")
         if not 0.0 < self.test_fraction < 1.0:
-            raise ValueError("test_fraction must be in (0, 1)")
-
-    def to_dict(self) -> dict:
-        return {
-            "sessionizer": {
-                "break_gap_ms": self.sessionizer.break_gap_ms,
-                "top_band_px": self.sessionizer.top_band_px,
-                "min_depth_px": self.sessionizer.min_depth_px,
-                "backscroll_epsilon_px": self.sessionizer.backscroll_epsilon_px,
-            },
-            "gbdt": {
-                "n_rounds": self.gbdt.n_rounds,
-                "max_depth": self.gbdt.max_depth,
-                "learning_rate": self.gbdt.learning_rate,
-                "lambda_l2": self.gbdt.lambda_l2,
-                "min_child_weight": self.gbdt.min_child_weight,
-                "seed": self.gbdt.seed,
-            },
-            "pass_fraction": self.pass_fraction,
-            "decision_threshold": self.decision_threshold,
-            "feature_set": self.feature_set,
-            "srl_only": self.srl_only,
-            "test_fraction": self.test_fraction,
-            "split_seed": self.split_seed,
-            "importance_repeats": self.importance_repeats,
-        }
+            raise InvalidConfig("test_fraction must be in (0, 1)")
+        if self.split_seed < 0:
+            raise InvalidConfig("split_seed must be >= 0")
+        if self.importance_repeats < 1:
+            raise InvalidConfig("importance_repeats must be >= 1")
 
 
 def normalize_events(events: list[ScrollEvent]) -> list[ScrollEvent]:

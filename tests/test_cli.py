@@ -32,6 +32,16 @@ def store_dir(cohort_dir, tmp_path_factory):
     return out
 
 
+@pytest.fixture(scope="module")
+def trained(store_dir, tmp_path_factory):
+    """(features CSV, model file) for the srl set, trained with few rounds."""
+    out = tmp_path_factory.mktemp("trained")
+    feats, model = out / "srl.csv", out / "model.json"
+    assert run(["features", "--store", str(store_dir), "--set", "srl", "--out", str(feats)]) == 0
+    assert run(["train", "--features", str(feats), "--model", str(model), "--rounds", "5"]) == 0
+    return feats, model
+
+
 class TestPipelineStages:
     def test_sessionize_emits_summary_csv(self, store_dir, tmp_path):
         out = tmp_path / "sessions.csv"
@@ -100,6 +110,55 @@ class TestExitCodes:
     def test_invalid_generator_config_is_usage_error(self, tmp_path):
         assert run(["synth", "--out", str(tmp_path / "d"), "--students", "0"]) == 1
 
+    def test_nan_max_score_is_data_error_and_writes_no_store(self, cohort_dir, tmp_path, capsys):
+        attempts = tmp_path / "attempts.csv"
+        lines = (cohort_dir / "attempts.csv").read_text().splitlines()
+        lines[1] = ",".join(lines[1].split(",")[:-1] + ["nan"])
+        attempts.write_text("\n".join(lines) + "\n")
+        code = run(["ingest", "--events", str(cohort_dir / "events.jsonl"),
+                    "--attempts", str(attempts), "--out", str(tmp_path / "store")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert str(attempts) in err and "line 2" in err
+        assert not (tmp_path / "store").exists()
+
+    def test_evaluate_rejects_reordered_feature_columns(self, trained, tmp_path, capsys):
+        feats, model = trained
+        rows = [line.split(",") for line in feats.read_text().splitlines()]
+        reversed_csv = tmp_path / "reversed.csv"
+        reversed_csv.write_text(
+            "".join(",".join(r[:3] + r[3:-1][::-1] + r[-1:]) + "\n" for r in rows)
+        )
+        code = run(["evaluate", "--model", str(model), "--features", str(reversed_csv),
+                    "--report", str(tmp_path / "r.json")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert str(reversed_csv) in err and "differ" in err
+        assert not (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize("corrupt, message", [
+        ("feature_index_99", "out of range"),
+        ("unknown_param", "params"),
+        ("node_without_r", "tree node"),
+    ])
+    def test_corrupt_model_is_data_error(self, trained, tmp_path, capsys, corrupt, message):
+        feats, model = trained
+        obj = json.loads(model.read_text())
+        split = next(t for t in obj["trees"] if "f" in t)
+        if corrupt == "feature_index_99":
+            split["f"] = 99
+        elif corrupt == "unknown_param":
+            obj["params"]["bogus"] = 1
+        else:
+            del split["r"]
+        bad = tmp_path / "model.json"
+        bad.write_text(json.dumps(obj))
+        code = run(["evaluate", "--model", str(bad), "--features", str(feats),
+                    "--report", str(tmp_path / "r.json")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert str(bad) in err and message in err
+
 
 class TestConfigFile:
     def test_config_file_overrides_defaults(self, store_dir, tmp_path):
@@ -128,6 +187,21 @@ class TestConfigFile:
                     "--report", str(tmp_path / "r.json")])
         assert code == 2
         assert "not_a_key" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("key, value", [
+        ("n_rounds", "abc"),
+        ("n_rounds", 2.5),
+        ("importance_repeats", 0),
+        ("split_seed", -1),
+    ])
+    def test_bad_config_value_is_usage_error(self, trained, tmp_path, capsys, key, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        code = run(["--config", str(cfg), "evaluate", "--model", str(trained[1]),
+                    "--features", str(trained[0]), "--report", str(tmp_path / "r.json")])
+        assert code == 1
+        assert key in capsys.readouterr().err
 
 
 class TestArtifactDeterminism:

@@ -62,6 +62,14 @@ class TestParseEvents:
         line = VALID_LINE[:-1] + ',"extra":42}'
         assert len(parse_events(io.StringIO(line))) == 1
 
+    @pytest.mark.parametrize("value", ["NaN", "1e400"])
+    def test_non_finite_scroll_y_reports_line(self, value):
+        stream = io.StringIO(VALID_LINE + "\n" + VALID_LINE.replace('"scroll_y":0', f'"scroll_y":{value}'))
+        with pytest.raises(MalformedEvent) as exc:
+            parse_events(stream)
+        assert exc.value.line_number == 2
+        assert "scroll_y" in exc.value.reason
+
 
 class TestParseAttempts:
     def test_direct_mapping(self):
@@ -93,6 +101,15 @@ class TestParseAttempts:
         text = ATTEMPTS_HEADER + "\ns1,q1,1,0,1\n"
         with pytest.raises(MalformedAttempt):
             parse_attempts(io.StringIO(text))
+
+    @pytest.mark.parametrize("fields", ["5,9,70,nan", "5,9,nan,100", "5,9,70,inf", "5,9,1e400,1e400",
+                                        f"5,{10**400},70,100"],
+                             ids=["nan-max", "nan-score", "inf-max", "inf-both", "end-beyond-int64"])
+    def test_out_of_range_number_reports_line(self, fields):
+        text = ATTEMPTS_HEADER + f"\ns1,q1,1,0,1,70,100\ns1,q1,2,{fields}\n"
+        with pytest.raises(MalformedAttempt) as exc:
+            parse_attempts(io.StringIO(text))
+        assert exc.value.line_number == 3
 
 
 def _ev(ts, y=0.0, sid="s1"):
