@@ -16,8 +16,8 @@ from typing import IO, Sequence
 import numpy as np
 
 from .ingest import TraceStore
-from .sessionize import count_backscrolls, reading_speed, reading_window, segment_sessions
-from .trace_model import DataError, PipelineConfig, QuizAttempt
+from .sessionize import reading_speed, reading_window, segment_sessions
+from .trace_model import DataError, PipelineConfig, QuizAttempt, ReadingSession
 
 BASELINE_FEATURES = [
     "reading_sessions",
@@ -71,58 +71,59 @@ def _prior_attempts(store: TraceStore, attempt: QuizAttempt) -> tuple[QuizAttemp
     return group[: attempt.attempt_index - 1]
 
 
-def baseline_features(
-    store: TraceStore, attempt: QuizAttempt, cfg: PipelineConfig
+def _window_sessions(store: TraceStore, attempt: QuizAttempt, cfg: PipelineConfig) -> list[ReadingSession]:
+    return segment_sessions(reading_window(store, attempt).events, cfg.sessionizer)
+
+
+def _attempt_features(
+    store: TraceStore,
+    attempt: QuizAttempt,
+    sessions: Sequence[ReadingSession],
+    prev_sessions: Sequence[ReadingSession],
+    cfg: PipelineConfig,
 ) -> dict[str, float]:
-    window = reading_window(store, attempt)
-    sessions = segment_sessions(window.events, cfg.sessionizer)
+    """All 14 features of one attempt from its window's sessions and the previous attempt's."""
     priors = _prior_attempts(store, attempt)
+    backscrolls = sum(s.num_backscrolls for s in sessions)
+    prev_backscrolls = sum(s.num_backscrolls for s in prev_sessions) if priors else 0
+    prev_fail = 1 if priors and not label_attempt(priors[-1], cfg) else 0
+    quiz_time_diff = attempt.duration_mins - priors[-1].duration_mins if priors else 0.0
+    # Needs two strictly prior attempts: trend of the two most recent scores
+    # the student already knows about; never the current attempt's score.
+    score_diff = priors[-1].score_fraction - priors[-2].score_fraction if len(priors) >= 2 else 0.0
+    backscrolls_delta = float(backscrolls - prev_backscrolls)
     return {
         "reading_sessions": float(len(sessions)),
         "num_reading_breaks": float(sum(s.num_breaks for s in sessions)),
         "quiz_time_mins": attempt.duration_mins,
         "quiz_fails": float(sum(1 for p in priors if not label_attempt(p, cfg))),
         "quiz_attempts": float(attempt.attempt_index),
-    }
-
-
-def srl_features(
-    store: TraceStore, attempt: QuizAttempt, cfg: PipelineConfig
-) -> dict[str, float]:
-    window = reading_window(store, attempt)
-    backscrolls = count_backscrolls(window.events, cfg.sessionizer)
-    speed = reading_speed(segment_sessions(window.events, cfg.sessionizer))
-
-    priors = _prior_attempts(store, attempt)
-    prev = priors[-1] if priors else None
-    if prev is not None:
-        prev_window = reading_window(store, prev)
-        prev_backscrolls = count_backscrolls(prev_window.events, cfg.sessionizer)
-        prev_fail = 0 if label_attempt(prev, cfg) else 1
-        quiz_time_diff = attempt.duration_mins - prev.duration_mins
-    else:
-        prev_backscrolls = 0
-        prev_fail = 0
-        quiz_time_diff = 0.0
-    # Needs two strictly prior attempts: trend of the two most recent scores
-    # the student already knows about; never the current attempt's score.
-    if len(priors) >= 2:
-        score_diff = priors[-1].score_fraction - priors[-2].score_fraction
-    else:
-        score_diff = 0.0
-
-    backscrolls_delta = float(backscrolls - prev_backscrolls)
-    return {
         "num_backscrolls": float(backscrolls),
         "backscrolls_delta": backscrolls_delta,
         "backscrolls_more": 1.0 if backscrolls_delta > 0 else 0.0,
-        "reading_speed": speed,
+        "reading_speed": reading_speed(sessions),
         "prev_fail": float(prev_fail),
         "score_diff": score_diff,
         "improved_score": 1.0 if score_diff > 0 else 0.0,
         "quiz_time_diff": quiz_time_diff,
         "quiz_time_longer": 1.0 if quiz_time_diff > 0 else 0.0,
     }
+
+
+def _recomputed_features(store: TraceStore, attempt: QuizAttempt, cfg: PipelineConfig) -> dict[str, float]:
+    priors = _prior_attempts(store, attempt)
+    prev_sessions = _window_sessions(store, priors[-1], cfg) if priors else []
+    return _attempt_features(store, attempt, _window_sessions(store, attempt, cfg), prev_sessions, cfg)
+
+
+def baseline_features(store: TraceStore, attempt: QuizAttempt, cfg: PipelineConfig) -> dict[str, float]:
+    feats = _recomputed_features(store, attempt, cfg)
+    return {name: feats[name] for name in BASELINE_FEATURES}
+
+
+def srl_features(store: TraceStore, attempt: QuizAttempt, cfg: PipelineConfig) -> dict[str, float]:
+    feats = _recomputed_features(store, attempt, cfg)
+    return {name: feats[name] for name in SRL_FEATURES}
 
 
 @dataclass(frozen=True)
@@ -154,6 +155,11 @@ class Dataset:
     def subset_by_students(self, students: set[str]) -> "Dataset":
         return self.subset([i for i, k in enumerate(self.keys) if k[0] in students])
 
+    def select(self, names: Sequence[str]) -> "Dataset":
+        """The same rows with only the named feature columns, in the given order."""
+        idx = [self.feature_names.index(n) for n in names]
+        return Dataset(self.keys, tuple(names), np.ascontiguousarray(self.X[:, idx]), self.y)
+
 
 def feature_columns(feature_set: str, srl_only: bool = False) -> list[str]:
     if feature_set == "baseline":
@@ -164,34 +170,31 @@ def feature_columns(feature_set: str, srl_only: bool = False) -> list[str]:
 
 
 def assemble_dataset(store: TraceStore, feature_set: str, cfg: PipelineConfig) -> Dataset:
-    """One labeled row per attempt, sorted by (student_id, quiz_id, attempt_index)."""
+    """One labeled row per attempt, sorted by (student_id, quiz_id, attempt_index).
+
+    Each reading window is segmented once: `all_attempts` lists every attempt
+    right after the previous attempt of its quiz, whose sessions it reuses.
+    """
     attempts = store.all_attempts()
     if not attempts:
         raise EmptyStore("store contains no quiz attempts")
-    attempts.sort(key=lambda a: (a.student_id, a.quiz_id, a.attempt_index))
-    columns = feature_columns(feature_set, cfg.srl_only)
+    names = feature_columns("srl")
 
-    keys = []
-    rows = []
-    labels = []
+    keys, rows, labels = [], [], []
+    prev_sessions: list[ReadingSession] = []
     for att in attempts:
-        values: dict[str, float] = {}
-        if feature_set == "baseline" or not cfg.srl_only:
-            values.update(baseline_features(store, att, cfg))
-        if feature_set == "srl":
-            values.update(srl_features(store, att, cfg))
-        row = [values[c] for c in columns]
-        if not all(np.isfinite(row)):
-            raise InvalidDataset(f"non-finite feature value for attempt {att}")
+        sessions = _window_sessions(store, att, cfg)
+        values = _attempt_features(store, att, sessions, prev_sessions, cfg)
+        prev_sessions = sessions
         keys.append((att.student_id, att.quiz_id, att.attempt_index))
-        rows.append(row)
+        rows.append([values[c] for c in names])
         labels.append(label_attempt(att, cfg))
-    return Dataset(
-        keys=tuple(keys),
-        feature_names=tuple(columns),
-        X=np.array(rows, dtype=float),
-        y=np.array(labels, dtype=float),
-    )
+    full = Dataset(tuple(keys), tuple(names), np.array(rows, dtype=float), np.array(labels, dtype=float))
+    ds = full.select(feature_columns(feature_set, cfg.srl_only))
+    finite = np.isfinite(ds.X).all(axis=1)
+    if not finite.all():
+        raise InvalidDataset(f"non-finite feature value for attempt {ds.keys[int(np.argmin(finite))]}")
+    return ds
 
 
 def _fmt(value: float) -> str:

@@ -159,7 +159,7 @@ class TraceStore:
 
 
 def build_store(events: list[ScrollEvent], attempts: list[QuizAttempt]) -> TraceStore:
-    """Normalize and index inputs; rejects inconsistent attempt sequences."""
+    """Normalize and index inputs; rejects inconsistent or overlapping attempt sequences."""
     normalized = normalize_events(events)
     by_student: dict[str, list[ScrollEvent]] = {}
     for ev in normalized:
@@ -174,9 +174,11 @@ def build_store(events: list[ScrollEvent], attempts: list[QuizAttempt]) -> Trace
         if indices != list(range(1, len(group) + 1)):
             raise InconsistentAttempts(sid, qid, f"attempt_index sequence {indices} is not dense 1..k")
         for prev, cur in zip(group, group[1:]):
-            if cur.start_ts_ms <= prev.start_ts_ms:
+            if cur.start_ts_ms <= prev.start_ts_ms or cur.start_ts_ms < prev.end_ts_ms:
                 raise InconsistentAttempts(
-                    sid, qid, f"attempt {cur.attempt_index} does not start after attempt {prev.attempt_index}"
+                    sid, qid,
+                    f"attempt {cur.attempt_index} must start after attempt {prev.attempt_index} starts"
+                    " and not before it ends",
                 )
 
     all_ts = [ev.ts_ms for ev in normalized] + [a.start_ts_ms for a in attempts]

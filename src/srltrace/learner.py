@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
 
-from .features import Dataset, InvalidDataset, assemble_dataset
+from .features import BASELINE_FEATURES, Dataset, InvalidDataset, assemble_dataset, feature_columns
 from .ingest import TraceStore
 from .trace_model import DataError, GbdtParams, InvalidConfig, PipelineConfig, is_finite_number
 
@@ -443,8 +443,8 @@ class ComparisonReport:
 
 def run_comparison(store: TraceStore, cfg: PipelineConfig) -> ComparisonReport:
     """Train/evaluate baseline and SRL feature sets on one shared student split."""
-    base_ds = assemble_dataset(store, "baseline", cfg)
-    srl_ds = assemble_dataset(store, "srl", cfg)
+    full = assemble_dataset(store, "srl", replace(cfg, srl_only=False))
+    base_ds, srl_ds = full.select(BASELINE_FEATURES), full.select(feature_columns("srl", cfg.srl_only))
     train_students, test_students = split_students(
         base_ds.student_ids, cfg.test_fraction, cfg.split_seed
     )

@@ -104,11 +104,7 @@ def segment_sessions(
 
 def count_backscrolls(events: Sequence[ScrollEvent], cfg: SessionizerConfig) -> int:
     """Total backscroll actions over the stream; pairs never cross sessions."""
-    _check_sorted(events)
-    return sum(
-        _run_backscrolls(run, cfg.backscroll_epsilon_px)
-        for run, _ in _split_into_runs(events, cfg)
-    )
+    return sum(s.num_backscrolls for s in segment_sessions(events, cfg))
 
 
 def reading_speed(sessions: Sequence[ReadingSession]) -> float:
@@ -131,9 +127,8 @@ def reading_window(store: TraceStore, attempt: QuizAttempt) -> ReadingWindow:
         window_start = store.course_start_ts_ms
     window_end = attempt.start_ts_ms
     evs = store.events_for(attempt.student_id)
-    ts = [e.ts_ms for e in evs]
-    lo = bisect_left(ts, window_start)
-    hi = bisect_left(ts, window_end)
+    lo = bisect_left(evs, window_start, key=lambda e: e.ts_ms)
+    hi = bisect_left(evs, window_end, key=lambda e: e.ts_ms)
     return ReadingWindow(
         student_id=attempt.student_id,
         window_start_ts_ms=window_start,

@@ -1,4 +1,7 @@
+import pytest
+
 import helpers
+from srltrace import sessionize
 
 
 def pytest_terminal_summary(terminalreporter):
@@ -6,3 +9,17 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance checklist")
         for line in helpers.ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+
+
+@pytest.fixture
+def split_calls(monkeypatch):
+    """A list that grows by one entry on every `sessionize._split_into_runs` call."""
+    calls = []
+    real = sessionize._split_into_runs
+
+    def counting(events, cfg):
+        calls.append(len(events))
+        return real(events, cfg)
+
+    monkeypatch.setattr(sessionize, "_split_into_runs", counting)
+    return calls

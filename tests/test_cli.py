@@ -122,6 +122,22 @@ class TestExitCodes:
         assert str(attempts) in err and "line 2" in err
         assert not (tmp_path / "store").exists()
 
+    def test_overlapping_attempts_are_data_error(self, tmp_path, capsys):
+        events = tmp_path / "events.jsonl"
+        events.write_text('{"student_id":"s1","object_id":"p1","ts_ms":70000,"scroll_y":0}\n')
+        attempts = tmp_path / "attempts.csv"
+        attempts.write_text(
+            "student_id,quiz_id,attempt_index,start_ts_ms,end_ts_ms,score,max_score\n"
+            "s1,q1,1,2000,100000,3,10\n"
+            "s1,q1,2,50000,160000,8,10\n"
+        )
+        code = run(["ingest", "--events", str(events), "--attempts", str(attempts),
+                    "--out", str(tmp_path / "store")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert str(attempts) in err and "attempt 2" in err
+        assert not (tmp_path / "store").exists()
+
     def test_evaluate_rejects_reordered_feature_columns(self, trained, tmp_path, capsys):
         feats, model = trained
         rows = [line.split(",") for line in feats.read_text().splitlines()]

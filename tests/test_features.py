@@ -229,6 +229,27 @@ class TestRowInvariants:
                 assert row[names.index("quiz_attempts")] == key[2]
 
 
+class TestAssemblyReusesWindows:
+    def test_rows_equal_per_attempt_functions(self):
+        for seed in range(10):
+            store = build_store(*random_store_inputs(random.Random(seed)))
+            srl = assemble_dataset(store, "srl", CFG)
+            assert srl.feature_names == tuple(BASELINE_FEATURES + SRL_FEATURES)
+            for (sid, qid, idx), row in zip(srl.keys, srl.X):
+                att = store.attempts_for(sid, qid)[idx - 1]
+                expected = baseline_features(store, att, CFG) | srl_features(store, att, CFG)
+                assert list(expected) == list(srl.feature_names)
+                assert list(row) == list(expected.values())
+            base = assemble_dataset(store, "baseline", CFG)
+            assert base.keys == srl.keys
+            assert np.array_equal(base.X, srl.X[:, : len(BASELINE_FEATURES)])
+
+    def test_one_split_per_attempt(self, split_calls):
+        store = build_store(*random_store_inputs(random.Random(5)))
+        assemble_dataset(store, "srl", CFG)
+        assert len(split_calls) == store.n_attempts
+
+
 class TestNoLabelLeakage:
     def test_features_invariant_to_current_score(self):
         rng = random.Random(42)

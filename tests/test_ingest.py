@@ -137,6 +137,14 @@ class TestBuildStore:
         with pytest.raises(InconsistentAttempts):
             build_store([], [_att(1, 200), _att(2, 100)])
 
+    def test_overlapping_attempts_rejected(self):
+        with pytest.raises(InconsistentAttempts, match="attempt 2"):
+            build_store([], [_att(1, 100, 500), _att(2, 400)])
+
+    def test_start_at_previous_end_permitted(self):
+        store = build_store([], [_att(1, 100, 500), _att(2, 500)])
+        assert store.n_attempts == 2
+
     def test_student_without_events_permitted(self):
         store = build_store([], [_att(1, 100)])
         assert store.events_for("s1") == ()

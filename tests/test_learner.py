@@ -2,11 +2,14 @@
 
 import math
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from srltrace.features import Dataset
+from helpers import random_store_inputs
+from srltrace.features import BASELINE_FEATURES, SRL_FEATURES, Dataset
+from srltrace.ingest import build_store
 from srltrace.learner import (
     ArityMismatch,
     GbdtModel,
@@ -25,10 +28,11 @@ from srltrace.learner import (
     predict_logits,
     predict_proba,
     predict_proba_matrix,
+    run_comparison,
     save_model,
     split_students,
 )
-from srltrace.trace_model import GbdtParams
+from srltrace.trace_model import GbdtParams, PipelineConfig
 
 
 def make_ds(X, y, names=None):
@@ -407,3 +411,20 @@ class TestModelSerialization:
         obj["format_version"] = 999
         with pytest.raises(ValueError):
             model_from_dict(obj)
+
+
+class TestRunComparison:
+    CFG = PipelineConfig(gbdt=GbdtParams(n_rounds=3), importance_repeats=1)
+
+    def _store(self):
+        return build_store(*random_store_inputs(random.Random(11), n_students=8))
+
+    def test_one_split_per_attempt(self, split_calls):
+        store = self._store()
+        run_comparison(store, self.CFG)
+        assert len(split_calls) == store.n_attempts
+
+    def test_srl_only_reports_only_srl_columns(self):
+        report = run_comparison(self._store(), replace(self.CFG, srl_only=True))
+        assert list(report.srl.permutation_importance) == SRL_FEATURES
+        assert list(report.baseline.permutation_importance) == BASELINE_FEATURES
