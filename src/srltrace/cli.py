@@ -42,9 +42,10 @@ def _load_config_file(path: str | None) -> dict:
         obj = json.load(fh)
         if not isinstance(obj, dict):
             raise DataError("config file must hold a JSON object")
-        unknown = set(obj) - _SESSIONIZER_KEYS - _GBDT_KEYS - _PIPELINE_KEYS
-        if unknown:
-            raise DataError(f"unknown config keys {sorted(unknown)}")
+    # Outside in_file, which would turn this usage error into a data error.
+    unknown = set(obj) - _SESSIONIZER_KEYS - _GBDT_KEYS - _PIPELINE_KEYS
+    if unknown:
+        raise InvalidConfig(f"{path}: unknown config keys {sorted(unknown)}")
     return obj
 
 

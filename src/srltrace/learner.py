@@ -118,25 +118,20 @@ def _logloss(y: np.ndarray, p: np.ndarray) -> float:
 
 
 def _best_split(
-    X: np.ndarray, g: np.ndarray, h: np.ndarray, idx: np.ndarray, params: GbdtParams
+    cols: np.ndarray, g: np.ndarray, h: np.ndarray, sorted_rows: list[np.ndarray], params: GbdtParams
 ) -> tuple[float, int, float] | None:
     """Best (gain, feature_index, threshold) at this node, or None.
 
-    Cumulative g/h sums run in ascending feature-value order (stable sort),
-    so the arithmetic is reproducible candidate by candidate.
+    `sorted_rows[j]` lists the node's rows in ascending (feature j, row)
+    order, the order a stable argsort of the node's column gives, so the
+    cumulative g/h sums are reproducible candidate by candidate.
     """
-    if len(idx) < 2:
-        return None
     lam = params.lambda_l2
     best: tuple[float, int, float] | None = None
-    g_node = g[idx]
-    h_node = h[idx]
-    for j in range(X.shape[1]):
-        vals = X[idx, j]
-        order = np.argsort(vals, kind="stable")
-        v = vals[order]
-        cg = np.cumsum(g_node[order])
-        ch = np.cumsum(h_node[order])
+    for j, rows in enumerate(sorted_rows):
+        v = cols[j][rows]
+        cg = np.cumsum(g[rows])
+        ch = np.cumsum(h[rows])
         total_g = cg[-1]
         total_h = ch[-1]
         boundaries = np.nonzero(v[:-1] < v[1:])[0]
@@ -170,34 +165,55 @@ def _leaf_value(g_sum: float, h_sum: float, params: GbdtParams) -> float:
 
 
 def _build_node(
-    X: np.ndarray, g: np.ndarray, h: np.ndarray, idx: np.ndarray, depth: int, params: GbdtParams
+    cols: np.ndarray, g: np.ndarray, h: np.ndarray, idx: np.ndarray,
+    sorted_rows: list[np.ndarray], depth: int, params: GbdtParams,
 ) -> TreeNode:
-    if depth < params.max_depth:
-        best = _best_split(X, g, h, idx, params)
+    """Grow the subtree over rows `idx` (ascending); see `_best_split` for `sorted_rows`."""
+    if depth < params.max_depth and len(idx) >= 2:
+        best = _best_split(cols, g, h, sorted_rows, params)
     else:
         best = None
     if best is None or best[0] <= 0.0:
         return TreeNode(value=_leaf_value(float(np.sum(g[idx])), float(np.sum(h[idx])), params))
     gain, j, thr = best
-    mask = X[idx, j] < thr
-    left = _build_node(X, g, h, idx[mask], depth + 1, params)
-    right = _build_node(X, g, h, idx[~mask], depth + 1, params)
+    goes_left = cols[j] < thr
+    children = []
+    for side in (goes_left, ~goes_left):
+        # compress keeps order, so the child's lists stay sorted; a child at
+        # max_depth is a leaf and needs only its rows.
+        child_sorted = [rows.compress(side[rows]) for rows in sorted_rows] if depth + 1 < params.max_depth else []
+        children.append(_build_node(cols, g, h, idx.compress(side[idx]), child_sorted, depth + 1, params))
+    left, right = children
     return TreeNode(feature_index=j, threshold=thr, left=left, right=right, gain=gain)
 
 
-def _tree_values(node: TreeNode, X: np.ndarray) -> np.ndarray:
-    out = np.empty(len(X), dtype=float)
-    stack = [(node, np.arange(len(X)))]
+def _tree_values(
+    node: TreeNode, X: np.ndarray, j: int | None = None, xj: np.ndarray | None = None
+) -> np.ndarray:
+    """Each row's leaf value.
+
+    Given `j` and `xj`, the rows are len(xj) // len(X) stacked copies of X
+    whose column j reads from `xj` instead.
+    """
+    out = np.empty(len(X) if xj is None else len(xj), dtype=float)
+    stack = [(node, np.arange(len(out)))]
     while stack:
         nd, rows = stack.pop()
         if len(rows) == 0:
             continue
         if nd.is_leaf:
             out[rows] = nd.value
+            continue
+        # take/compress: 3-5x faster than fancy and boolean indexing on these arrays
+        if xj is None:
+            vals = X[:, nd.feature_index].take(rows)
+        elif nd.feature_index == j:
+            vals = xj.take(rows)
         else:
-            mask = X[rows, nd.feature_index] < nd.threshold
-            stack.append((nd.left, rows[mask]))
-            stack.append((nd.right, rows[~mask]))
+            vals = X[:, nd.feature_index].take(rows % len(X))
+        mask = vals < nd.threshold
+        stack.append((nd.left, rows.compress(mask)))
+        stack.append((nd.right, rows.compress(~mask)))
     return out
 
 
@@ -222,11 +238,14 @@ def fit(dataset: Dataset, params: GbdtParams) -> GbdtModel:
     losses = [_logloss(y, _sigmoid(logits))]
     trees: list[TreeNode] = []
     all_rows = np.arange(len(y))
+    # Sort each column once; _build_node partitions these lists down the tree.
+    cols = np.ascontiguousarray(X.T)
+    presorted = [np.argsort(col, kind="stable") for col in cols]
     for _ in range(params.n_rounds):
         p = _sigmoid(logits)
         g = p - y
         h = p * (1.0 - p)
-        root = _build_node(X, g, h, all_rows, 0, params)
+        root = _build_node(cols, g, h, all_rows, presorted, 0, params)
         trees.append(root)
         logits = logits + _tree_values(root, X)
         loss = _logloss(y, _sigmoid(logits))
@@ -335,11 +354,6 @@ def _metrics(conf: dict[str, int]) -> tuple[float, float, float, float]:
     return accuracy, precision, recall, f1
 
 
-def _accuracy(model: GbdtModel, X: np.ndarray, y: np.ndarray, threshold: float) -> float:
-    pred = (predict_proba_matrix(model, X) >= threshold).astype(float)
-    return float(np.mean(pred == y))
-
-
 def _split_nodes(trees: list[TreeNode]):
     """Every internal node of the trees, depth first."""
     stack = list(trees)
@@ -358,6 +372,21 @@ def gain_importance(model: GbdtModel) -> dict[str, float]:
     return totals
 
 
+def _permuted_values(tree: TreeNode, X: np.ndarray, j: int, perms: np.ndarray) -> np.ndarray:
+    """Leaf values of `tree` on X with column j read from rows `perms[r]`, one output row per r.
+
+    Only the thresholds the tree tests feature j against matter, so the tree
+    is walked once per interval between them, with column j set to -inf or
+    to the interval's lower threshold, and every shuffled row looks its leaf up.
+    """
+    n = len(X)
+    # sorted() rather than np.unique, whose first call imports numpy.ma (about 1 MB of RSS)
+    thresholds = np.array(sorted({nd.threshold for nd in _split_nodes([tree]) if nd.feature_index == j}))
+    table = _tree_values(tree, X, j, np.repeat(np.concatenate(([-np.inf], thresholds)), n))
+    interval = np.searchsorted(thresholds, X[:, j], side="right")
+    return table.take((interval * n).take(perms) + np.arange(n))
+
+
 def permutation_importance(
     model: GbdtModel,
     dataset: Dataset,
@@ -365,22 +394,42 @@ def permutation_importance(
     seed: int = 7,
     threshold: float = 0.5,
 ) -> dict[str, float]:
-    """Mean accuracy drop from shuffling each feature column, seeded."""
+    """Mean accuracy drop from shuffling each feature column, seeded.
+
+    Each tree's leaf values on the unshuffled rows are computed once. For
+    feature j the `repeats` shuffles form one batch, and only the trees that
+    split on j are walked again (`_permuted_values`); the others add their
+    cached values. Logits are summed in tree order, so every row equals what
+    `predict_logits` gives for that shuffle.
+    """
     X = np.asarray(dataset.X, dtype=float)
     y = np.asarray(dataset.y, dtype=float)
-    if len(y) == 0:
+    n = len(y)
+    if n == 0:
         raise InvalidDataset("dataset is empty")
-    base_acc = _accuracy(model, X, y, threshold)
+    cached = [_tree_values(tree, X) for tree in model.trees]
+    split_features = [{nd.feature_index for nd in _split_nodes([tree])} for tree in model.trees]
+
+    def accuracy(tree_values, shape) -> np.ndarray:
+        logits = np.full(shape, model.base_score_logit)
+        for values in tree_values:
+            logits += values
+        return np.mean((_sigmoid(logits) >= threshold) == y, axis=-1)
+
+    base_acc = accuracy(cached, n)
     rng = np.random.default_rng(seed)
     out: dict[str, float] = {}
     for j, name in enumerate(model.feature_names):
-        drops = []
-        for _ in range(repeats):
-            perm = rng.permutation(len(y))
-            Xp = X.copy()
-            Xp[:, j] = X[perm, j]
-            drops.append(base_acc - _accuracy(model, Xp, y, threshold))
-        out[name] = float(np.mean(drops))
+        # Shape (repeats, n) even for no repeats, whose importances stay NaN (a mean of nothing).
+        perms = np.array([rng.permutation(n) for _ in range(repeats)], dtype=np.intp).reshape(repeats, n)
+        acc = accuracy(
+            (
+                _permuted_values(tree, X, j, perms) if j in used else values
+                for tree, used, values in zip(model.trees, split_features, cached)
+            ),
+            (repeats, n),
+        )
+        out[name] = float(np.mean(base_acc - acc))
     return out
 
 

@@ -196,13 +196,14 @@ class TestConfigFile:
         assert run(["compare", "--store", str(store_dir), "--report", str(report)]) == 0
         assert json.loads(report.read_text())["config"]["test_fraction"] == 0.5
 
-    def test_unknown_config_key_is_data_error(self, store_dir, tmp_path, capsys):
+    def test_unknown_config_key_is_usage_error(self, store_dir, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"not_a_key": 1}))
         code = run(["--config", str(cfg), "compare", "--store", str(store_dir),
                     "--report", str(tmp_path / "r.json")])
-        assert code == 2
-        assert "not_a_key" in capsys.readouterr().err
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "not_a_key" in err and str(cfg) in err
 
 
     @pytest.mark.parametrize("key, value", [

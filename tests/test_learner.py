@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from helpers import random_store_inputs
+from srltrace import learner
 from srltrace.features import BASELINE_FEATURES, SRL_FEATURES, Dataset
 from srltrace.ingest import build_store
 from srltrace.learner import (
@@ -235,6 +236,24 @@ class TestSplitOracle:
             for name in ds.feature_names:
                 assert got[name] == pytest.approx(oracle_gains[name], rel=1e-12, abs=1e-15)
 
+    def test_heavy_ties_match_exhaustive_search(self):
+        # Integer columns with 2-3 distinct values and a single-value column:
+        # most rows tie, so the order the presorted lists keep decides the sums.
+        rng = np.random.default_rng(17)
+        for _ in range(12):
+            n = int(rng.integers(4, 41))
+            X = np.column_stack([
+                rng.integers(0, 2, n), rng.integers(0, 3, n), np.full(n, 4), rng.integers(5, 8, n),
+            ]).astype(float)
+            y = (rng.uniform(size=n) < 0.3 + 0.2 * X[:, 1]).astype(float)
+            ds = make_ds(X, y)
+            params = GbdtParams(n_rounds=4, max_depth=int(rng.integers(1, 4)), min_child_weight=0.0)
+            model, oracle_gains = check_fit_against_oracle(ds, params)
+            got = gain_importance(model)
+            assert got["f2"] == 0.0
+            for name in ds.feature_names:
+                assert got[name] == pytest.approx(oracle_gains[name], rel=1e-12, abs=1e-15)
+
     def test_tie_breaks_prefer_lowest_feature_then_threshold(self):
         # Two identical columns: identical gains, so feature 0 must win.
         x = np.array([0.0] * 5 + [1.0] * 5)
@@ -369,6 +388,143 @@ class TestImportance:
         a = permutation_importance(model, ds, repeats=10, seed=5)
         b = permutation_importance(model, ds, repeats=10, seed=5)
         assert a == b
+
+
+def reference_permutation_importance(model, ds, repeats, seed, threshold):
+    """The definition: one full predict per shuffled copy of X, same RNG order."""
+    X = np.asarray(ds.X, dtype=float)
+    y = np.asarray(ds.y, dtype=float)
+
+    def accuracy(M):
+        return float(np.mean((predict_proba_matrix(model, M) >= threshold).astype(float) == y))
+
+    base = accuracy(X)
+    rng = np.random.default_rng(seed)
+    out = {}
+    for j, name in enumerate(model.feature_names):
+        drops = []
+        for _ in range(repeats):
+            perm = rng.permutation(len(y))
+            Xp = X.copy()
+            Xp[:, j] = X[perm, j]
+            drops.append(base - accuracy(Xp))
+        out[name] = float(np.mean(drops))
+    return out
+
+
+def split_features(tree):
+    obj = tree.to_dict()
+    stack, used = [obj], set()
+    while stack:
+        nd = stack.pop()
+        if "f" in nd:
+            used.add(nd["f"])
+            stack += (nd["l"], nd["r"])
+    return used
+
+
+class TestPermutationMatchesDefinition:
+    """The batched permutation importance equals the per-repeat definition exactly."""
+
+    @pytest.mark.parametrize("repeats", [1, 20])
+    @pytest.mark.parametrize("threshold", [0.3, 0.5])
+    def test_random_datasets(self, repeats, threshold):
+        rng = np.random.default_rng(31)
+        for _ in range(4):
+            n = int(rng.integers(5, 80))
+            ds = random_ds(rng, n, int(rng.integers(1, 5)))
+            # A constant last column: no tree can split on it.
+            X = np.column_stack([ds.X, np.full(n, 3.0)])
+            ds = make_ds(X, ds.y)
+            model = fit(ds, GbdtParams(n_rounds=int(rng.integers(1, 25)), max_depth=int(rng.integers(1, 4))))
+            assert all(X.shape[1] - 1 not in split_features(t) for t in model.trees)
+            seed = int(rng.integers(0, 1000))
+            got = permutation_importance(model, ds, repeats=repeats, seed=seed, threshold=threshold)
+            assert got == reference_permutation_importance(model, ds, repeats, seed, threshold)
+
+    @pytest.mark.parametrize("threshold", [0.3, 0.5])
+    def test_feature_every_tree_uses(self, threshold):
+        rng = np.random.default_rng(32)
+        X = np.round(rng.uniform(0.0, 10.0, size=(60, 3)), 1)
+        y = ((X[:, 0] > 5.0) ^ (rng.uniform(size=60) < 0.1)).astype(float)
+        ds = make_ds(X, y)
+        model = fit(ds, GbdtParams(n_rounds=15))
+        assert all(0 in split_features(t) for t in model.trees)
+        for repeats in (1, 20):
+            got = permutation_importance(model, ds, repeats=repeats, seed=3, threshold=threshold)
+            assert got == reference_permutation_importance(model, ds, repeats, 3, threshold)
+
+    @pytest.mark.parametrize("repeats", [1, 20])
+    def test_two_rows(self, repeats):
+        ds = make_ds(np.array([[0.0, 1.0], [1.0, 1.0]]), np.array([0.0, 1.0]))
+        model = fit(ds, GbdtParams(n_rounds=5, min_child_weight=0.0))
+        assert all(split_features(t) == {0} for t in model.trees)
+        for threshold in (0.3, 0.5):
+            got = permutation_importance(model, ds, repeats=repeats, seed=9, threshold=threshold)
+            assert got == reference_permutation_importance(model, ds, repeats, 9, threshold)
+
+    def test_values_on_thresholds_and_repeated_thresholds(self):
+        # Data values equal to thresholds (x < t is False at x == t), and one
+        # tree testing the same feature at the same threshold twice.
+        leaf = lambda v: TreeNode(value=v)  # noqa: E731
+        t1 = TreeNode(feature_index=0, threshold=1.0,
+                      left=TreeNode(feature_index=1, threshold=0.5, left=leaf(-2.0), right=leaf(1.0)),
+                      right=TreeNode(feature_index=0, threshold=2.0,
+                                     left=TreeNode(feature_index=0, threshold=1.0, left=leaf(9.0), right=leaf(0.5)),
+                                     right=leaf(-1.5)))
+        t2 = TreeNode(feature_index=1, threshold=0.5, left=leaf(0.25), right=leaf(-0.75))
+        model = GbdtModel(0.1, [t1, t2], ("f0", "f1"), GbdtParams())
+        rng = np.random.default_rng(5)
+        X = np.column_stack([rng.integers(0, 4, 50), rng.integers(0, 2, 50)]).astype(float)
+        ds = make_ds(X, (rng.uniform(size=50) < 0.5).astype(float))
+        for repeats, threshold in ((1, 0.5), (20, 0.3), (20, 0.5)):
+            got = permutation_importance(model, ds, repeats=repeats, seed=11, threshold=threshold)
+            assert got == reference_permutation_importance(model, ds, repeats, 11, threshold)
+
+    def test_logits_summed_in_tree_order(self):
+        # (1 + 1e16) - 1e16 == 0 but 1 + (1e16 - 1e16) == 1: any other order
+        # of the three trees moves the logit across the 0.6 threshold.
+        split = TreeNode(feature_index=0, threshold=0.5, left=TreeNode(value=1.0), right=TreeNode(value=0.0))
+        model = GbdtModel(0.0, [split, TreeNode(value=1e16), TreeNode(value=-1e16)], ("f0",), GbdtParams())
+        x = np.array([0.0, 1.0] * 4)
+        ds = make_ds(x, 1.0 - x)
+        # In tree order every logit is 0, so shuffling f0 changes no prediction.
+        assert np.array_equal(predict_logits(model, ds.X), np.zeros(8))
+        got = permutation_importance(model, ds, repeats=5, seed=1, threshold=0.6)
+        assert got == reference_permutation_importance(model, ds, 5, 1, 0.6) == {"f0": 0.0}
+
+    def test_permuted_leaf_values_match_a_walk_of_the_shuffled_copy(self):
+        rng = np.random.default_rng(34)
+        for _ in range(5):
+            ds = random_ds(rng, int(rng.integers(2, 60)), 3)
+            X = np.floor(ds.X)  # few distinct values, so many rows sit in one interval
+            model = fit(make_ds(X, ds.y), GbdtParams(n_rounds=8, min_child_weight=0.0))
+            perms = np.array([rng.permutation(len(X)) for _ in range(3)])
+            for tree in model.trees:
+                for j in split_features(tree):
+                    got = learner._permuted_values(tree, X, j, perms)
+                    for r, perm in enumerate(perms):
+                        Xp = X.copy()
+                        Xp[:, j] = X[perm, j]
+                        assert np.array_equal(got[r], learner._tree_values(tree, Xp))
+
+    def test_walks_each_tree_once_plus_once_per_tested_feature(self, monkeypatch):
+        rng = np.random.default_rng(33)
+        ds = random_ds(rng, 50, 4)
+        model = fit(ds, GbdtParams(n_rounds=12))
+        calls = []
+        real = learner._tree_values
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(learner, "_tree_values", counting)
+        permutation_importance(model, ds, repeats=5, seed=1)
+        expected = len(model.trees) + sum(len(split_features(t)) for t in model.trees)
+        # One full predict per repeat and feature would be (4 * 5 + 1) * 12 = 252.
+        assert expected < (4 * 5 + 1) * len(model.trees)
+        assert len(calls) == expected
 
 
 class TestArgmaxInvariance:
