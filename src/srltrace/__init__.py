@@ -55,7 +55,6 @@ from .learner import (
     grouped_split,
     load_model,
     permutation_importance,
-    predict_proba,
     run_comparison,
     save_model,
 )

@@ -125,7 +125,7 @@ def _cmd_sessionize(args, file_cfg: dict) -> int:
 
 
 def _cmd_features(args, file_cfg: dict) -> int:
-    cfg = _resolve_config(file_cfg, {"feature_set": args.set})
+    cfg = _resolve_config(file_cfg, {})
     store = load_store(args.store)
     with in_file(args.store):
         dataset = assemble_dataset(store, args.set, cfg)

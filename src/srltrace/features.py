@@ -11,13 +11,13 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .ingest import TraceStore
 from .sessionize import reading_speed, reading_window, segment_sessions
-from .trace_model import DataError, PipelineConfig, QuizAttempt, ReadingSession
+from .trace_model import DataError, PipelineConfig, QuizAttempt, ReadingSession, format_number
 
 BASELINE_FEATURES = [
     "reading_sessions",
@@ -197,29 +197,17 @@ def assemble_dataset(store: TraceStore, feature_set: str, cfg: PipelineConfig) -
     return ds
 
 
-def _fmt(value: float) -> str:
-    value = float(value)
-    return str(int(value)) if value == int(value) else repr(value)
-
-
-def save_dataset_csv(dataset: Dataset, path: str | Path | IO[str]) -> None:
+def save_dataset_csv(dataset: Dataset, path: str | Path) -> None:
     """Write `student_id,quiz_id,attempt_index,<features...>,label` rows."""
-    own = isinstance(path, (str, Path))
-    fh = open(path, "w", encoding="utf-8", newline="") if own else path
-    try:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["student_id", "quiz_id", "attempt_index", *dataset.feature_names, "label"])
         for key, row, label in zip(dataset.keys, dataset.X, dataset.y):
-            writer.writerow([key[0], key[1], str(key[2]), *(_fmt(v) for v in row), str(int(label))])
-    finally:
-        if own:
-            fh.close()
+            writer.writerow([key[0], key[1], str(key[2]), *(format_number(v) for v in row), str(int(label))])
 
 
-def load_dataset_csv(path: str | Path | IO[str]) -> Dataset:
-    own = isinstance(path, (str, Path))
-    fh = open(path, "r", encoding="utf-8", newline="") if own else path
-    try:
+def load_dataset_csv(path: str | Path) -> Dataset:
+    with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, [])
         if header[:3] != ["student_id", "quiz_id", "attempt_index"] or len(header) < 4 or header[-1] != "label":
@@ -237,9 +225,6 @@ def load_dataset_csv(path: str | Path | IO[str]) -> Dataset:
                 labels.append(float(row[-1]))
             except ValueError as exc:
                 raise InvalidDataset(f"line {reader.line_num}: {exc}") from None
-    finally:
-        if own:
-            fh.close()
     return Dataset(
         keys=tuple(keys),
         feature_names=names,

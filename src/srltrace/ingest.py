@@ -8,7 +8,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
-from .trace_model import DataError, QuizAttempt, ScrollEvent, in_file, is_finite_number, normalize_events
+from .trace_model import (
+    DataError, QuizAttempt, ScrollEvent, format_number, in_file, is_finite_number, normalize_events,
+)
 
 ATTEMPTS_HEADER = "student_id,quiz_id,attempt_index,start_ts_ms,end_ts_ms,score,max_score"
 
@@ -203,31 +205,26 @@ def event_to_json_line(ev: ScrollEvent) -> str:
     return json.dumps(obj, separators=(",", ":"))
 
 
-def attempt_to_csv_row(att: QuizAttempt) -> list[str]:
-    return [
-        att.student_id,
-        att.quiz_id,
-        str(att.attempt_index),
-        str(att.start_ts_ms),
-        str(att.end_ts_ms),
-        repr(att.score) if att.score != int(att.score) else str(int(att.score)),
-        repr(att.max_score) if att.max_score != int(att.max_score) else str(int(att.max_score)),
-    ]
+def write_trace_files(out_dir: str | Path, events: Iterable[ScrollEvent], attempts: Iterable[QuizAttempt]) -> None:
+    """Write events JSON Lines and the attempts CSV into `out_dir`, as the parsers read them."""
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    with open(out / EVENTS_FILENAME, "w", encoding="utf-8", newline="\n") as fh:
+        fh.writelines(event_to_json_line(ev) + "\n" for ev in events)
+    with open(out / ATTEMPTS_FILENAME, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(ATTEMPTS_HEADER.split(","))
+        writer.writerows(
+            (a.student_id, a.quiz_id, a.attempt_index, a.start_ts_ms, a.end_ts_ms,
+             format_number(a.score), format_number(a.max_score))
+            for a in attempts
+        )
 
 
 def save_store(store: TraceStore, out_dir: str | Path) -> None:
     """Write normalized events JSONL, attempts CSV, and a small manifest."""
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    with open(out / EVENTS_FILENAME, "w", encoding="utf-8", newline="\n") as fh:
-        for ev in store.all_events():
-            fh.write(event_to_json_line(ev))
-            fh.write("\n")
-    with open(out / ATTEMPTS_FILENAME, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(ATTEMPTS_HEADER.split(","))
-        for att in store.all_attempts():
-            writer.writerow(attempt_to_csv_row(att))
+    write_trace_files(out, store.all_events(), store.all_attempts())
     manifest = {
         "course_start_ts_ms": store.course_start_ts_ms,
         "counts": {

@@ -50,7 +50,7 @@ class TreeNode:
     left: "TreeNode | None" = None
     right: "TreeNode | None" = None
     value: float | None = None
-    gain: float = 0.0  # split gain; training metadata, not serialized
+    gain: float = field(default=0.0, compare=False)  # split gain; training metadata, not serialized
 
     @property
     def is_leaf(self) -> bool:
@@ -81,11 +81,6 @@ class TreeNode:
             right=TreeNode.from_dict(obj["r"]),
         )
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, TreeNode):
-            return NotImplemented
-        return self.to_dict() == other.to_dict()
-
 
 @dataclass
 class GbdtModel:
@@ -96,16 +91,6 @@ class GbdtModel:
     feature_names: tuple[str, ...]
     params: GbdtParams
     train_losses: list[float] = field(default_factory=list, compare=False)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, GbdtModel):
-            return NotImplemented
-        return (
-            self.base_score_logit == other.base_score_logit
-            and self.trees == other.trees
-            and tuple(self.feature_names) == tuple(other.feature_names)
-            and self.params == other.params
-        )
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -277,13 +262,6 @@ def predict_proba_matrix(model: GbdtModel, X: np.ndarray) -> np.ndarray:
     return _sigmoid(predict_logits(model, X))
 
 
-def predict_proba(model: GbdtModel, row) -> float:
-    row = np.asarray(row, dtype=float)
-    if row.ndim != 1 or len(row) != len(model.feature_names):
-        raise ArityMismatch(f"expected {len(model.feature_names)} features, got {row.shape}")
-    return float(predict_proba_matrix(model, row.reshape(1, -1))[0])
-
-
 def split_students(
     student_ids, test_fraction: float, seed: int
 ) -> tuple[list[str], list[str]]:
@@ -402,11 +380,10 @@ def permutation_importance(
     cached values. Logits are summed in tree order, so every row equals what
     `predict_logits` gives for that shuffle.
     """
-    X = np.asarray(dataset.X, dtype=float)
-    y = np.asarray(dataset.y, dtype=float)
+    if repeats < 1:
+        raise InvalidConfig(f"repeats must be >= 1, got {repeats}")
+    X, y = _checked_arrays(dataset)
     n = len(y)
-    if n == 0:
-        raise InvalidDataset("dataset is empty")
     cached = [_tree_values(tree, X) for tree in model.trees]
     split_features = [{nd.feature_index for nd in _split_nodes([tree])} for tree in model.trees]
 
@@ -420,8 +397,7 @@ def permutation_importance(
     rng = np.random.default_rng(seed)
     out: dict[str, float] = {}
     for j, name in enumerate(model.feature_names):
-        # Shape (repeats, n) even for no repeats, whose importances stay NaN (a mean of nothing).
-        perms = np.array([rng.permutation(n) for _ in range(repeats)], dtype=np.intp).reshape(repeats, n)
+        perms = np.array([rng.permutation(n) for _ in range(repeats)], dtype=np.intp)
         acc = accuracy(
             (
                 _permuted_values(tree, X, j, perms) if j in used else values

@@ -18,11 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .ingest import (
-    ATTEMPTS_HEADER,
-    attempt_to_csv_row,
-    event_to_json_line,
-)
+from .ingest import write_trace_files
 from .trace_model import InvalidConfig, QuizAttempt, ScrollEvent
 
 TRUTH_FILENAME = "truth.json"
@@ -350,15 +346,7 @@ def generate_cohort(cfg: GenConfig) -> Cohort:
 def write_cohort(cohort: Cohort, out_dir: str | Path) -> None:
     """Write events.jsonl, attempts.csv and truth.json (truth is test-only)."""
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    with open(out / "events.jsonl", "w", encoding="utf-8", newline="\n") as fh:
-        for ev in cohort.events:
-            fh.write(event_to_json_line(ev))
-            fh.write("\n")
-    with open(out / "attempts.csv", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(ATTEMPTS_HEADER + "\n")
-        for att in cohort.attempts:
-            fh.write(",".join(attempt_to_csv_row(att)) + "\n")
+    write_trace_files(out, cohort.events, cohort.attempts)
     with open(out / TRUTH_FILENAME, "w", encoding="utf-8") as fh:
         json.dump(cohort.truth, fh, indent=1)
         fh.write("\n")

@@ -43,6 +43,12 @@ def is_finite_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool) and -_FLOAT_MAX <= value <= _FLOAT_MAX
 
 
+def format_number(value: float) -> str:
+    """A number as written to CSV: digits only when it is whole, else its shortest repr."""
+    value = float(value)
+    return str(int(value)) if value == int(value) else repr(value)
+
+
 def _check_types(cfg) -> None:
     """Raise InvalidConfig naming the first scalar field whose value has the wrong type."""
     for f in fields(cfg):
@@ -206,7 +212,6 @@ class PipelineConfig:
     gbdt: GbdtParams = field(default_factory=GbdtParams)
     pass_fraction: float = 0.5
     decision_threshold: float = 0.5
-    feature_set: str = "srl"
     srl_only: bool = False
     test_fraction: float = 0.25
     split_seed: int = 7
@@ -218,8 +223,6 @@ class PipelineConfig:
             raise InvalidConfig("pass_fraction must be in (0, 1]")
         if not 0.0 < self.decision_threshold < 1.0:
             raise InvalidConfig("decision_threshold must be in (0, 1)")
-        if self.feature_set not in ("baseline", "srl"):
-            raise InvalidConfig("feature_set must be 'baseline' or 'srl'")
         if not 0.0 < self.test_fraction < 1.0:
             raise InvalidConfig("test_fraction must be in (0, 1)")
         if self.split_seed < 0:

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import shutil
 
 import pytest
 
@@ -122,6 +123,16 @@ class TestExitCodes:
         assert str(attempts) in err and "line 2" in err
         assert not (tmp_path / "store").exists()
 
+    def test_truncated_store_events_is_data_error(self, store_dir, tmp_path, capsys):
+        store = tmp_path / "store"
+        shutil.copytree(store_dir, store)
+        events = store / "events.jsonl"
+        data = events.read_bytes()
+        events.write_bytes(data[: len(data) // 2])
+        code = run(["sessionize", "--store", str(store), "--out", str(tmp_path / "s.csv")])
+        assert code == 2
+        assert str(events) in capsys.readouterr().err
+
     def test_overlapping_attempts_are_data_error(self, tmp_path, capsys):
         events = tmp_path / "events.jsonl"
         events.write_text('{"student_id":"s1","object_id":"p1","ts_ms":70000,"scroll_y":0}\n')
@@ -196,14 +207,16 @@ class TestConfigFile:
         assert run(["compare", "--store", str(store_dir), "--report", str(report)]) == 0
         assert json.loads(report.read_text())["config"]["test_fraction"] == 0.5
 
-    def test_unknown_config_key_is_usage_error(self, store_dir, tmp_path, capsys):
+    @pytest.mark.parametrize("key, value", [("not_a_key", 1), ("feature_set", "srl")],
+                             ids=["not_a_key", "feature_set"])
+    def test_unknown_config_key_is_usage_error(self, store_dir, tmp_path, capsys, key, value):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"not_a_key": 1}))
+        cfg.write_text(json.dumps({key: value}))
         code = run(["--config", str(cfg), "compare", "--store", str(store_dir),
                     "--report", str(tmp_path / "r.json")])
         assert code == 1
         err = capsys.readouterr().err
-        assert "not_a_key" in err and str(cfg) in err
+        assert key in err and str(cfg) in err
 
 
     @pytest.mark.parametrize("key, value", [

@@ -1,6 +1,5 @@
 """Feature engineering fixtures, leakage properties, and dataset assembly."""
 
-import io
 import random
 
 import numpy as np
@@ -271,20 +270,18 @@ class TestNoLabelLeakage:
 
 
 class TestCsvRoundTrip:
-    def test_load_save_identity(self):
+    def test_load_save_identity(self, tmp_path):
         ds = assemble_dataset(_seven_attempt_store(), "srl", CFG)
-        buf = io.StringIO()
-        save_dataset_csv(ds, buf)
-        buf.seek(0)
-        again = load_dataset_csv(buf)
+        save_dataset_csv(ds, tmp_path / "ds.csv")
+        again = load_dataset_csv(tmp_path / "ds.csv")
         assert again.keys == ds.keys
         assert again.feature_names == ds.feature_names
         assert np.array_equal(again.X, ds.X)
         assert np.array_equal(again.y, ds.y)
 
-    def test_save_is_byte_deterministic(self):
+    def test_save_is_byte_deterministic(self, tmp_path):
         ds = assemble_dataset(_seven_attempt_store(), "srl", CFG)
-        a, b = io.StringIO(), io.StringIO()
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         save_dataset_csv(ds, a)
         save_dataset_csv(ds, b)
-        assert a.getvalue() == b.getvalue()
+        assert a.read_bytes() == b.read_bytes()

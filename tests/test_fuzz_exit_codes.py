@@ -3,6 +3,7 @@ or 2) but never fail with an internal error (exit 3)."""
 
 import contextlib
 import io
+import shutil
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -26,10 +27,11 @@ EDITS = st.lists(
 )
 
 CONFIG = (b'{"break_gap_ms": 300000, "top_band_px": 50.0, "n_rounds": 3, "learning_rate": 0.1, '
-          b'"decision_threshold": 0.5, "feature_set": "srl", "srl_only": false, "split_seed": 7}\n')
+          b'"decision_threshold": 0.5, "srl_only": false, "split_seed": 7}\n')
 
 INPUTS = {"events": "events.jsonl", "attempts": "attempts.csv", "features": "features.csv",
-          "model": "model.json", "config": "config.json"}
+          "model": "model.json", "config": "config.json",
+          "store_events": "store/events.jsonl", "store_attempts": "store/attempts.csv"}
 
 
 def mutate(data: bytes, edits) -> bytes:
@@ -67,6 +69,9 @@ def stage_commands(d, name, bad):
         return [["ingest", "--events", str(path["events"]), "--attempts", str(path["attempts"]),
                  "--out", str(d / "out-store")],
                 ["features", "--store", str(d / "out-store"), "--set", "srl", "--out", str(d / "f.csv")]]
+    if name.startswith("store_"):
+        return [["sessionize", "--store", str(bad.parent), "--out", str(d / "s.csv")],
+                ["features", "--store", str(bad.parent), "--set", "srl", "--out", str(d / "f.csv")]]
     if name == "config":
         return [["--config", str(bad), "sessionize", "--store", str(d / "store"), "--out", str(d / "s.csv")]]
     evaluate = ["evaluate", "--model", str(path["model"]), "--features", str(path["features"]),
@@ -76,10 +81,13 @@ def stage_commands(d, name, bad):
     return [["train", "--features", str(bad), "--model", str(d / "out-model.json"), "--rounds", "2"], evaluate]
 
 
-@settings(max_examples=1000, deadline=None, derandomize=True)
+@settings(max_examples=1400, deadline=None, derandomize=True)
 @given(name=st.sampled_from(list(INPUTS)), edits=EDITS)
 def test_mutated_input_never_exits_3(files, name, edits):
-    bad = files / f"mutated-{INPUTS[name]}"
+    bad = files / "mutated" / INPUTS[name]
+    if name.startswith("store_"):  # the rest of the store stays valid
+        shutil.copytree(files / "store", bad.parent, dirs_exist_ok=True)
+    bad.parent.mkdir(exist_ok=True)
     bad.write_bytes(mutate((files / INPUTS[name]).read_bytes(), edits))
     for argv in stage_commands(files, name, bad):
         err = io.StringIO()

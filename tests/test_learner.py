@@ -27,13 +27,12 @@ from srltrace.learner import (
     model_to_dict,
     permutation_importance,
     predict_logits,
-    predict_proba,
     predict_proba_matrix,
     run_comparison,
     save_model,
     split_students,
 )
-from srltrace.trace_model import GbdtParams, PipelineConfig
+from srltrace.trace_model import GbdtParams, InvalidConfig, PipelineConfig
 
 
 def make_ds(X, y, names=None):
@@ -265,11 +264,11 @@ class TestSplitOracle:
 class TestPredict:
     def test_no_trees_base_zero(self):
         model = GbdtModel(0.0, [], ("f0",), GbdtParams())
-        assert predict_proba(model, [1.0]) == 0.5
+        assert predict_proba_matrix(model, [[1.0]])[0] == 0.5
 
     def test_single_leaf_sigmoid(self):
         model = GbdtModel(0.0, [TreeNode(value=2.0)], ("f0",), GbdtParams())
-        assert predict_proba(model, [0.0]) == pytest.approx(0.8808, abs=1e-4)
+        assert predict_proba_matrix(model, [[0.0]])[0] == pytest.approx(0.8808, abs=1e-4)
 
     def test_zero_tree_is_identity(self):
         rng = np.random.default_rng(1)
@@ -282,7 +281,7 @@ class TestPredict:
     def test_arity_mismatch(self):
         model = GbdtModel(0.0, [], ("f0", "f1"), GbdtParams())
         with pytest.raises(ArityMismatch):
-            predict_proba(model, [1.0])
+            predict_proba_matrix(model, [[1.0]])
 
 
 class TestGroupedSplit:
@@ -388,6 +387,27 @@ class TestImportance:
         a = permutation_importance(model, ds, repeats=10, seed=5)
         b = permutation_importance(model, ds, repeats=10, seed=5)
         assert a == b
+
+    def test_permutation_rejects_zero_repeats(self):
+        ds = random_ds(np.random.default_rng(5), 30, 3)
+        model = fit(ds, GbdtParams(n_rounds=5))
+        with pytest.raises(InvalidConfig, match="repeats"):
+            permutation_importance(model, ds, repeats=0)
+
+    @pytest.mark.parametrize("edit", ["label_two", "nan_feature"])
+    def test_permutation_checks_the_dataset_as_evaluate_does(self, edit):
+        ds = random_ds(np.random.default_rng(5), 30, 3)
+        model = fit(ds, GbdtParams(n_rounds=5))
+        X, y = ds.X.copy(), ds.y.copy()
+        if edit == "label_two":
+            y[y == 1.0] = 2.0
+        else:
+            X[3, 1] = np.nan
+        bad = make_ds(X, y)
+        with pytest.raises(InvalidDataset):
+            evaluate(model, bad)
+        with pytest.raises(InvalidDataset):
+            permutation_importance(model, bad)
 
 
 def reference_permutation_importance(model, ds, repeats, seed, threshold):
