@@ -11,6 +11,7 @@ from .trace_model import (
     normalize_events,
 )
 from .ingest import (
+    EventColumns,
     InconsistentAttempts,
     MalformedAttempt,
     MalformedEvent,

@@ -105,7 +105,7 @@ def _cmd_sessionize(args, file_cfg: dict) -> int:
                 "active_ms",
             ]
         )
-        for sid in sorted(store.events_by_student):
+        for sid in store.events.students:
             sessions = segment_sessions(store.events_for(sid), cfg.sessionizer)
             for i, s in enumerate(sessions, start=1):
                 writer.writerow(

@@ -1,12 +1,16 @@
-"""Parsing of raw event/attempt files and the indexed per-student store."""
+"""Parsing of raw event/attempt files, and the columnar, hash-checked store they are indexed into."""
 
 from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator, NamedTuple, Sequence
+
+import numpy as np
 
 from .trace_model import (
     DataError, QuizAttempt, ScrollEvent, format_number, in_file, is_finite_number, normalize_events,
@@ -17,6 +21,21 @@ ATTEMPTS_HEADER = "student_id,quiz_id,attempt_index,start_ts_ms,end_ts_ms,score,
 EVENTS_FILENAME = "events.jsonl"
 ATTEMPTS_FILENAME = "attempts.csv"
 MANIFEST_FILENAME = "manifest.json"
+
+# The store layout `load_store` reads; a manifest without this version predates the columns.
+STORE_FORMAT_VERSION = 2
+# dtype of each event column, saved as events.<name>.npy
+_COLUMN_DTYPES = {
+    "ts_ms": np.dtype(np.int64),
+    "scroll_y": np.dtype(np.float64),
+    "page_height": np.dtype(np.float64),
+    "pageload": np.dtype(np.bool_),
+    "student_code": np.dtype(np.int32),
+    "object_code": np.dtype(np.int32),
+}
+# JSON, not .npy: NumPy's fixed-width strings drop an id's trailing NUL characters.
+TABLES_FILENAME = "events.tables.json"
+COLUMN_FILES = (*(f"events.{name}.npy" for name in _COLUMN_DTYPES), TABLES_FILENAME)
 
 
 class MalformedEvent(DataError):
@@ -31,6 +50,10 @@ class MalformedAttempt(DataError):
         super().__init__(f"line {line_number}: {reason}")
         self.line_number = line_number
         self.reason = reason
+
+
+class UnsortedInput(DataError):
+    pass
 
 
 class InconsistentAttempts(DataError):
@@ -125,16 +148,115 @@ def parse_attempts(stream: Iterable[str]) -> list[QuizAttempt]:
     return attempts
 
 
+class EventRow(NamedTuple):
+    """One stored event, field for field as `ScrollEvent` holds it."""
+
+    student_id: str
+    object_id: str
+    ts_ms: int
+    scroll_y: float
+    page_height: float | None
+    kind: str
+
+
+@dataclass(frozen=True, eq=False)
+class EventColumns:
+    """Events as parallel arrays, sorted by student, then by time within a student.
+
+    `student_code` and `object_code` index the sorted `students` and `objects`
+    tables; `page_height` is NaN where an event has none. Slicing gives views.
+    """
+
+    ts_ms: np.ndarray
+    scroll_y: np.ndarray
+    page_height: np.ndarray
+    pageload: np.ndarray
+    student_code: np.ndarray
+    object_code: np.ndarray
+    students: tuple[str, ...]
+    objects: tuple[str, ...]
+
+    def __len__(self) -> int:
+        return len(self.ts_ms)
+
+    def __getitem__(self, rows: slice) -> "EventColumns":
+        return EventColumns(*(getattr(self, c)[rows] for c in _COLUMN_DTYPES), self.students, self.objects)
+
+    def __iter__(self) -> Iterator[EventRow]:
+        # A chunk at a time: writing a store's events then holds few Python objects at once.
+        students, objects = self.students, self.objects
+        for lo in range(0, len(self), 4096):
+            part = self[lo:lo + 4096]
+            yield from map(EventRow._make, zip(
+                [students[c] for c in part.student_code.tolist()],
+                [objects[c] for c in part.object_code.tolist()],
+                part.ts_ms.tolist(),
+                part.scroll_y.tolist(),
+                [None if math.isnan(h) else h for h in part.page_height.tolist()],
+                ["pageload" if p else "scroll" for p in part.pageload.tolist()],
+            ))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, EventColumns):
+            return NotImplemented
+        return (self.students, self.objects) == (other.students, other.objects) and all(
+            np.array_equal(getattr(self, c), getattr(other, c), equal_nan=True) for c in _COLUMN_DTYPES
+        )
+
+
+def _check_sorted(cols: EventColumns) -> None:
+    """Raise UnsortedInput unless student codes ascend and each student's ts_ms never decreases."""
+    code, ts = cols.student_code, cols.ts_ms
+    same = code[1:] == code[:-1]
+    back = (code[1:] < code[:-1]) | (same & (ts[1:] < ts[:-1]))
+    if back.any():
+        i = int(back.argmax())
+        raise UnsortedInput(
+            f"event {i + 2} (student {cols.students[code[i + 1]]!r}, ts_ms {ts[i + 1]}) sorts before"
+            f" event {i + 1} (student {cols.students[code[i]]!r}, ts_ms {ts[i]})"
+        )
+
+
+def events_to_columns(events: Sequence[ScrollEvent]) -> EventColumns:
+    """The columns of `events`, in their order, which must be by student id, then time."""
+    students = sorted({ev.student_id for ev in events})
+    objects = sorted({ev.object_id for ev in events})
+    student_code = {sid: i for i, sid in enumerate(students)}
+    object_code = {oid: i for i, oid in enumerate(objects)}
+    cols = EventColumns(
+        ts_ms=np.array([ev.ts_ms for ev in events], dtype=np.int64),
+        scroll_y=np.array([ev.scroll_y for ev in events], dtype=np.float64),
+        page_height=np.array(
+            [math.nan if ev.page_height is None else ev.page_height for ev in events], dtype=np.float64
+        ),
+        pageload=np.array([ev.kind == "pageload" for ev in events], dtype=np.bool_),
+        student_code=np.array([student_code[ev.student_id] for ev in events], dtype=np.int32),
+        object_code=np.array([object_code[ev.object_id] for ev in events], dtype=np.int32),
+        students=tuple(students),
+        objects=tuple(objects),
+    )
+    _check_sorted(cols)
+    return cols
+
+
 @dataclass(frozen=True)
 class TraceStore:
-    """Immutable indexed view over normalized events and validated attempts."""
+    """Immutable indexed view over normalized event columns and validated attempts."""
 
-    events_by_student: dict[str, tuple[ScrollEvent, ...]]
+    events: EventColumns
     attempts_by_key: dict[tuple[str, str], tuple[QuizAttempt, ...]]
     course_start_ts_ms: int
+    _by_student: dict[str, EventColumns] = field(init=False, repr=False, compare=False)
 
-    def events_for(self, student_id: str) -> tuple[ScrollEvent, ...]:
-        return self.events_by_student.get(student_id, ())
+    def __post_init__(self) -> None:
+        cols = self.events
+        edges = np.searchsorted(cols.student_code, np.arange(len(cols.students) + 1)).tolist()
+        by_student = {sid: cols[edges[i]:edges[i + 1]] for i, sid in enumerate(cols.students)}
+        object.__setattr__(self, "_by_student", by_student)
+
+    def events_for(self, student_id: str) -> EventColumns:
+        found = self._by_student.get(student_id)
+        return self.events[:0] if found is None else found
 
     def attempts_for(self, student_id: str, quiz_id: str) -> tuple[QuizAttempt, ...]:
         return self.attempts_by_key.get((student_id, quiz_id), ())
@@ -145,28 +267,17 @@ class TraceStore:
             out.extend(self.attempts_by_key[key])
         return out
 
-    def all_events(self) -> list[ScrollEvent]:
-        out: list[ScrollEvent] = []
-        for sid in sorted(self.events_by_student):
-            out.extend(self.events_by_student[sid])
-        return out
-
     @property
     def n_events(self) -> int:
-        return sum(len(v) for v in self.events_by_student.values())
+        return len(self.events)
 
     @property
     def n_attempts(self) -> int:
         return sum(len(v) for v in self.attempts_by_key.values())
 
 
-def build_store(events: list[ScrollEvent], attempts: list[QuizAttempt]) -> TraceStore:
-    """Normalize and index inputs; rejects inconsistent or overlapping attempt sequences."""
-    normalized = normalize_events(events)
-    by_student: dict[str, list[ScrollEvent]] = {}
-    for ev in normalized:
-        by_student.setdefault(ev.student_id, []).append(ev)
-
+def _index_store(events: EventColumns, attempts: list[QuizAttempt]) -> TraceStore:
+    """Index attempts by (student, quiz); rejects inconsistent or overlapping attempt sequences."""
     by_key: dict[tuple[str, str], list[QuizAttempt]] = {}
     for att in attempts:
         by_key.setdefault((att.student_id, att.quiz_id), []).append(att)
@@ -183,29 +294,45 @@ def build_store(events: list[ScrollEvent], attempts: list[QuizAttempt]) -> Trace
                     " and not before it ends",
                 )
 
-    all_ts = [ev.ts_ms for ev in normalized] + [a.start_ts_ms for a in attempts]
-    course_start = min(all_ts) if all_ts else 0
+    starts = [a.start_ts_ms for a in attempts]
+    if len(events):
+        starts.append(int(events.ts_ms.min()))
     return TraceStore(
-        events_by_student={sid: tuple(evs) for sid, evs in by_student.items()},
+        events=events,
         attempts_by_key={key: tuple(group) for key, group in by_key.items()},
-        course_start_ts_ms=course_start,
+        course_start_ts_ms=min(starts, default=0),
     )
 
 
-def event_to_json_line(ev: ScrollEvent) -> str:
-    obj: dict = {
-        "student_id": ev.student_id,
-        "object_id": ev.object_id,
-        "ts_ms": ev.ts_ms,
-        "scroll_y": ev.scroll_y,
-    }
-    if ev.page_height is not None:
-        obj["page_height"] = ev.page_height
-    obj["event"] = ev.kind
-    return json.dumps(obj, separators=(",", ":"))
+def build_store(events: list[ScrollEvent], attempts: list[QuizAttempt]) -> TraceStore:
+    """Normalize and index inputs; rejects inconsistent or overlapping attempt sequences."""
+    return _index_store(events_to_columns(normalize_events(events)), attempts)
 
 
-def write_trace_files(out_dir: str | Path, events: Iterable[ScrollEvent], attempts: Iterable[QuizAttempt]) -> None:
+def _json(value) -> str:
+    """`json.dumps(value)`, without its per-call set-up for the str, int and finite float of an event."""
+    kind = type(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is int:
+        return int.__repr__(value)
+    if kind is float and is_finite_number(value):
+        return float.__repr__(value)
+    return json.dumps(value)
+
+
+def event_to_json_line(ev: ScrollEvent | EventRow) -> str:
+    """The event as `json.dumps` writes its fields with separators (",", ":"); no page_height when None."""
+    height = "" if ev.page_height is None else f',"page_height":{_json(ev.page_height)}'
+    return (
+        f'{{"student_id":{_json(ev.student_id)},"object_id":{_json(ev.object_id)},"ts_ms":{_json(ev.ts_ms)},'
+        f'"scroll_y":{_json(ev.scroll_y)}{height},"event":{_json(ev.kind)}}}'
+    )
+
+
+def write_trace_files(
+    out_dir: str | Path, events: Iterable[ScrollEvent | EventRow], attempts: Iterable[QuizAttempt]
+) -> None:
     """Write events JSON Lines and the attempts CSV into `out_dir`, as the parsers read them."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -221,28 +348,116 @@ def write_trace_files(out_dir: str | Path, events: Iterable[ScrollEvent], attemp
         )
 
 
+def _sha256(path: Path) -> str:
+    import hashlib  # here, not at the top: its OpenSSL adds 3.5 MB of RSS to stages that never hash
+
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(1 << 16), b""):
+            digest.update(chunk)
+    return digest.hexdigest()
+
+
 def save_store(store: TraceStore, out_dir: str | Path) -> None:
-    """Write normalized events JSONL, attempts CSV, and a small manifest."""
+    """Write the events as JSON Lines and as columns, the attempts CSV, and a manifest
+    that holds the format version, the counts and every file's sha256."""
     out = Path(out_dir)
-    write_trace_files(out, store.all_events(), store.all_attempts())
+    cols = store.events
+    write_trace_files(out, cols, store.all_attempts())
+    for name in _COLUMN_DTYPES:
+        np.save(out / f"events.{name}.npy", getattr(cols, name), allow_pickle=False)
+    with open(out / TABLES_FILENAME, "w", encoding="utf-8") as fh:
+        json.dump({"objects": list(cols.objects), "students": list(cols.students)}, fh)
+        fh.write("\n")
     manifest = {
+        "format_version": STORE_FORMAT_VERSION,
         "course_start_ts_ms": store.course_start_ts_ms,
         "counts": {
             "events": store.n_events,
             "attempts": store.n_attempts,
-            "students": len(set(store.events_by_student) | {k[0] for k in store.attempts_by_key}),
+            "students": len(set(cols.students) | {k[0] for k in store.attempts_by_key}),
         },
+        "files": {name: _sha256(out / name) for name in (EVENTS_FILENAME, ATTEMPTS_FILENAME, *COLUMN_FILES)},
     }
     with open(out / MANIFEST_FILENAME, "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
+def _read_manifest(path: Path) -> dict:
+    with in_file(path), open(path, "r", encoding="utf-8") as fh:
+        manifest = json.load(fh)
+        if not isinstance(manifest, dict) or "format_version" not in manifest:
+            raise DataError("no format_version: the store predates the columnar layout; re-run `srltrace ingest`")
+        if manifest["format_version"] != STORE_FORMAT_VERSION:
+            raise DataError(
+                f"format_version {manifest['format_version']!r} is not {STORE_FORMAT_VERSION}; re-run `srltrace ingest`"
+            )
+        if not isinstance(manifest.get("files"), dict) or not isinstance(manifest.get("counts"), dict):
+            raise DataError("'files' and 'counts' must be JSON objects")
+    return manifest
+
+
+def _verified(path: Path, manifest: dict) -> Path:
+    if _sha256(path) != manifest["files"].get(path.name):
+        raise DataError(f"{path}: content differs from its sha256 in {MANIFEST_FILENAME}; re-run `srltrace ingest`")
+    return path
+
+
+def _read_table(tables: dict, name: str) -> tuple[str, ...]:
+    table = tables.get(name)
+    if not isinstance(table, list) or not all(isinstance(x, str) for x in table):
+        raise DataError(f"{name!r} must be a list of strings")
+    if any(a >= b for a, b in zip(table, table[1:])):
+        raise DataError(f"{name!r} must be sorted without repeats")
+    return tuple(table)
+
+
+def _read_columns(src: Path, manifest: dict) -> EventColumns:
+    """Every event column and table, checked for dtype, length, code range and order."""
+    path = _verified(src / TABLES_FILENAME, manifest)
+    with in_file(path), open(path, "r", encoding="utf-8") as fh:
+        tables = json.load(fh)
+        if not isinstance(tables, dict):
+            raise DataError("must hold a JSON object")
+        students, objects = _read_table(tables, "students"), _read_table(tables, "objects")
+    columns: dict[str, np.ndarray] = {}
+    for name, dtype in _COLUMN_DTYPES.items():
+        path = _verified(src / f"events.{name}.npy", manifest)
+        with in_file(path), open(path, "rb") as fh:
+            column = np.lib.format.read_array(fh, allow_pickle=False)
+            if column.dtype != dtype or column.ndim != 1:
+                raise DataError(f"expected a 1-d column of {dtype}, got {column.ndim}-d {column.dtype}")
+            if columns and len(column) != len(columns["ts_ms"]):
+                raise DataError(f"{len(column)} values where events.ts_ms.npy has {len(columns['ts_ms'])}")
+        columns[name] = column
+    for name, table in (("student_code", students), ("object_code", objects)):
+        codes = columns[name]
+        if len(codes) and not (codes.min() >= 0 and codes.max() < len(table)):
+            raise DataError(f"{src / f'events.{name}.npy'}: code out of range of the {len(table)}-entry table")
+    cols = EventColumns(**columns, students=students, objects=objects)
+    with in_file(src / "events.ts_ms.npy"):
+        _check_sorted(cols)
+    return cols
+
+
 def load_store(in_dir: str | Path) -> TraceStore:
-    """Rebuild a store from a directory holding events JSONL + attempts CSV."""
+    """Read a store that `save_store` wrote, without parsing or sorting any event again.
+
+    The manifest's version and every file's sha256 are checked, then the columns'
+    lengths, codes and order; only the attempts CSV is parsed.
+    """
     src = Path(in_dir)
-    with in_file(src / EVENTS_FILENAME), open(src / EVENTS_FILENAME, "r", encoding="utf-8") as fh:
-        events = parse_events(fh)
-    with in_file(src / ATTEMPTS_FILENAME), open(src / ATTEMPTS_FILENAME, "r", encoding="utf-8") as fh:
-        attempts = parse_attempts(fh)
-        return build_store(events, attempts)
+    manifest = _read_manifest(src / MANIFEST_FILENAME)
+    _verified(src / EVENTS_FILENAME, manifest)  # kept beside the columns; must not drift from them
+    cols = _read_columns(src, manifest)
+    path = _verified(src / ATTEMPTS_FILENAME, manifest)
+    with in_file(path), open(path, "r", encoding="utf-8") as fh:
+        store = _index_store(cols, parse_attempts(fh))
+    counts = manifest["counts"]
+    if counts.get("events") != store.n_events or counts.get("attempts") != store.n_attempts:
+        raise DataError(
+            f"{src / MANIFEST_FILENAME}: counts differ from the store's {store.n_events} events"
+            f" and {store.n_attempts} attempts"
+        )
+    return store

@@ -214,6 +214,15 @@ def _checked_arrays(dataset: Dataset) -> tuple[np.ndarray, np.ndarray]:
     return X, y
 
 
+def _scored_arrays(model: GbdtModel, dataset: Dataset) -> tuple[np.ndarray, np.ndarray]:
+    """`_checked_arrays` of a dataset whose feature columns are the model's, by name and order."""
+    if tuple(dataset.feature_names) != tuple(model.feature_names):
+        raise ArityMismatch(
+            f"feature columns {list(dataset.feature_names)} differ from the model's {list(model.feature_names)}"
+        )
+    return _checked_arrays(dataset)
+
+
 def fit(dataset: Dataset, params: GbdtParams) -> GbdtModel:
     """Train the boosted ensemble; training loss must not increase per round."""
     X, y = _checked_arrays(dataset)
@@ -382,7 +391,7 @@ def permutation_importance(
     """
     if repeats < 1:
         raise InvalidConfig(f"repeats must be >= 1, got {repeats}")
-    X, y = _checked_arrays(dataset)
+    X, y = _scored_arrays(model, dataset)
     n = len(y)
     cached = [_tree_values(tree, X) for tree in model.trees]
     split_features = [{nd.feature_index for nd in _split_nodes([tree])} for tree in model.trees]
@@ -417,11 +426,7 @@ def evaluate(
     importance_seed: int | None = None,
 ) -> EvalReport:
     """Threshold predictions, compute the confusion matrix and importances."""
-    if tuple(dataset.feature_names) != tuple(model.feature_names):
-        raise ArityMismatch(
-            f"feature columns {list(dataset.feature_names)} differ from the model's {list(model.feature_names)}"
-        )
-    X, y = _checked_arrays(dataset)
+    X, y = _scored_arrays(model, dataset)
     pred = (predict_proba_matrix(model, X) >= decision_threshold).astype(float)
     conf = confusion_counts(y, pred)
     accuracy, precision, recall, f1 = _metrics(conf)

@@ -9,16 +9,14 @@ count does not depend on the scroll sampling rate.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Sequence
 
-from .ingest import TraceStore
-from .trace_model import DataError, QuizAttempt, ReadingSession, ScrollEvent, SessionizerConfig
+import numpy as np
 
-
-class UnsortedInput(DataError):
-    pass
+from .ingest import EventColumns, TraceStore, events_to_columns
+from .ingest import UnsortedInput  # noqa: F401 - re-exported: segment_sessions raises it
+from .trace_model import QuizAttempt, ReadingSession, ScrollEvent, SessionizerConfig
 
 
 @dataclass(frozen=True)
@@ -28,81 +26,76 @@ class ReadingWindow:
     student_id: str
     window_start_ts_ms: int
     window_end_ts_ms: int
-    events: tuple[ScrollEvent, ...]
+    events: EventColumns
 
 
-def _check_sorted(events: Sequence[ScrollEvent]) -> None:
-    for prev, cur in zip(events, events[1:]):
-        if cur.ts_ms < prev.ts_ms:
-            raise UnsortedInput(f"timestamp {cur.ts_ms} after {prev.ts_ms}")
+def _split_into_runs(events: EventColumns, cfg: SessionizerConfig) -> list[tuple[int, int, int, int, int]]:
+    """(first, stop, breaks, break ms, backscrolls) per session, in time order.
 
-
-def _split_into_runs(
-    events: Sequence[ScrollEvent], cfg: SessionizerConfig
-) -> list[tuple[list[ScrollEvent], list[int]]]:
-    """Return (session events, break gaps in ms) per session, in time order."""
-    runs: list[tuple[list[ScrollEvent], list[int]]] = []
-    cur: list[ScrollEvent] = []
-    gaps: list[int] = []
+    A session is the events [first, stop). Backscroll actions are maximal runs
+    of drops beyond epsilon on one object, and never span two sessions.
+    """
+    ts = events.ts_ms.tolist()
+    ys = events.scroll_y.tolist()
+    loads = events.pageload.tolist()
+    objs = events.object_code.tolist()
+    runs: list[tuple[int, int, int, int, int]] = []
+    first = breaks = break_ms = backscrolls = 0
     max_depth = 0.0
-    for ev in events:
-        restart = bool(cur) and (
-            ev.kind == "pageload"
-            or (ev.scroll_y <= cfg.top_band_px and max_depth >= cfg.min_depth_px)
-        )
-        if restart:
-            # Boundary takes precedence: the gap before a restart is not a break.
-            runs.append((cur, gaps))
-            cur, gaps, max_depth = [], [], 0.0
-        elif cur:
-            gap = ev.ts_ms - cur[-1].ts_ms
-            if gap > cfg.break_gap_ms:
-                gaps.append(gap)
-        cur.append(ev)
-        if ev.scroll_y > max_depth:
-            max_depth = ev.scroll_y
-    if cur:
-        runs.append((cur, gaps))
+    in_drop = False
+    for i, y in enumerate(ys):
+        if i > first:
+            if loads[i] or (y <= cfg.top_band_px and max_depth >= cfg.min_depth_px):
+                # Boundary takes precedence: the gap before a restart is not a break.
+                runs.append((first, i, breaks, break_ms, backscrolls))
+                first, breaks, break_ms, backscrolls, max_depth, in_drop = i, 0, 0, 0, 0.0, False
+            else:
+                gap = ts[i] - ts[i - 1]
+                if gap > cfg.break_gap_ms:
+                    breaks += 1
+                    break_ms += gap
+                drop = objs[i] == objs[i - 1] and (ys[i - 1] - y) > cfg.backscroll_epsilon_px
+                if drop and not in_drop:
+                    backscrolls += 1
+                in_drop = drop
+        if y > max_depth:
+            max_depth = y
+    if ys:
+        runs.append((first, len(ys), breaks, break_ms, backscrolls))
     return runs
 
 
-def _run_backscrolls(events: Sequence[ScrollEvent], epsilon_px: float) -> int:
-    """Backscroll actions within one session: maximal decreasing runs on one object."""
-    count = 0
-    in_run = False
-    for a, b in zip(events, events[1:]):
-        qualifies = a.object_id == b.object_id and (a.scroll_y - b.scroll_y) > epsilon_px
-        if qualifies and not in_run:
-            count += 1
-        in_run = qualifies
-    return count
-
-
 def segment_sessions(
-    events: Sequence[ScrollEvent], cfg: SessionizerConfig
+    events: EventColumns | Sequence[ScrollEvent], cfg: SessionizerConfig
 ) -> list[ReadingSession]:
-    """Segment one student's sorted scroll stream into reading sessions."""
-    _check_sorted(events)
+    """Segment one student's sorted scroll stream into reading sessions.
+
+    A list of events goes through `events_to_columns`, as in `build_store`,
+    which raises UnsortedInput if their timestamps decrease.
+    """
+    if not isinstance(events, EventColumns):
+        events = events_to_columns(events)
+    ts = events.ts_ms
+    codes = events.object_code
     sessions: list[ReadingSession] = []
-    for run, gaps in _split_into_runs(events, cfg):
-        start = run[0].ts_ms
-        end = run[-1].ts_ms
+    for first, stop, breaks, break_ms, backscrolls in _split_into_runs(events, cfg):
+        start, end = int(ts[first]), int(ts[stop - 1])
         sessions.append(
             ReadingSession(
-                student_id=run[0].student_id,
+                student_id=events.students[events.student_code[first]],
                 start_ts_ms=start,
                 end_ts_ms=end,
-                event_count=len(run),
-                num_breaks=len(gaps),
-                num_backscrolls=_run_backscrolls(run, cfg.backscroll_epsilon_px),
-                object_ids=frozenset(ev.object_id for ev in run),
-                active_ms=(end - start) - sum(gaps),
+                event_count=stop - first,
+                num_breaks=breaks,
+                num_backscrolls=backscrolls,
+                object_ids=frozenset(events.objects[c] for c in set(codes[first:stop].tolist())),
+                active_ms=(end - start) - break_ms,
             )
         )
     return sessions
 
 
-def count_backscrolls(events: Sequence[ScrollEvent], cfg: SessionizerConfig) -> int:
+def count_backscrolls(events: EventColumns | Sequence[ScrollEvent], cfg: SessionizerConfig) -> int:
     """Total backscroll actions over the stream; pairs never cross sessions."""
     return sum(s.num_backscrolls for s in segment_sessions(events, cfg))
 
@@ -127,11 +120,10 @@ def reading_window(store: TraceStore, attempt: QuizAttempt) -> ReadingWindow:
         window_start = store.course_start_ts_ms
     window_end = attempt.start_ts_ms
     evs = store.events_for(attempt.student_id)
-    lo = bisect_left(evs, window_start, key=lambda e: e.ts_ms)
-    hi = bisect_left(evs, window_end, key=lambda e: e.ts_ms)
+    lo, hi = np.searchsorted(evs.ts_ms, (window_start, window_end)).tolist()
     return ReadingWindow(
         student_id=attempt.student_id,
         window_start_ts_ms=window_start,
         window_end_ts_ms=window_end,
-        events=tuple(evs[lo:hi]),
+        events=evs[lo:hi],
     )

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field, fields
 from numbers import Integral
 
 EVENT_KINDS = ("scroll", "pageload")
-MAX_TS_MS = 2**63  # int64 epoch ms; a longer attempt would overflow its float duration
+MAX_TS_MS = 2**63  # int64 epoch ms: the store's ts_ms column; also keeps attempt durations finite
 
 
 class DataError(ValueError):
@@ -76,8 +76,8 @@ class ScrollEvent:
     kind: str = "scroll"
 
     def __post_init__(self) -> None:
-        if self.ts_ms < 0:
-            raise ValueError(f"ts_ms must be >= 0, got {self.ts_ms}")
+        if not 0 <= self.ts_ms < MAX_TS_MS:
+            raise ValueError(f"ts_ms must be in [0, 2**63), got {self.ts_ms}")
         if self.scroll_y < 0:
             raise ValueError(f"scroll_y must be >= 0, got {self.scroll_y}")
         if self.page_height is not None:

@@ -133,4 +133,4 @@ def mutate_score(store, target: QuizAttempt, new_score: float):
             att = QuizAttempt(att.student_id, att.quiz_id, att.attempt_index,
                               att.start_ts_ms, att.end_ts_ms, new_score, att.max_score)
         attempts.append(att)
-    return build_store(store.all_events(), attempts)
+    return build_store([ScrollEvent(*row) for row in store.events], attempts)

@@ -133,6 +133,37 @@ class TestExitCodes:
         assert code == 2
         assert str(events) in capsys.readouterr().err
 
+    def test_altered_column_file_is_data_error(self, store_dir, tmp_path, capsys):
+        store = tmp_path / "store"
+        shutil.copytree(store_dir, store)
+        column = store / "events.scroll_y.npy"
+        data = bytearray(column.read_bytes())
+        data[-1] ^= 1
+        column.write_bytes(bytes(data))
+        code = run(["sessionize", "--store", str(store), "--out", str(tmp_path / "s.csv")])
+        assert code == 2
+        assert str(column) in capsys.readouterr().err
+
+    def test_deleted_column_file_is_data_error(self, store_dir, tmp_path, capsys):
+        store = tmp_path / "store"
+        shutil.copytree(store_dir, store)
+        (store / "events.pageload.npy").unlink()
+        code = run(["features", "--store", str(store), "--set", "srl", "--out", str(tmp_path / "f.csv")])
+        assert code == 2
+        assert str(store / "events.pageload.npy") in capsys.readouterr().err
+
+    def test_store_without_format_version_asks_for_ingest(self, store_dir, tmp_path, capsys):
+        # The layout written before the columns: a manifest with only the course start and counts.
+        store = tmp_path / "store"
+        shutil.copytree(store_dir, store)
+        manifest = store / "manifest.json"
+        old = json.loads(manifest.read_text(encoding="utf-8"))
+        manifest.write_text(json.dumps({k: old[k] for k in ("course_start_ts_ms", "counts")}), encoding="utf-8")
+        code = run(["compare", "--store", str(store), "--report", str(tmp_path / "r.json")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert str(manifest) in err and "re-run `srltrace ingest`" in err
+
     def test_overlapping_attempts_are_data_error(self, tmp_path, capsys):
         events = tmp_path / "events.jsonl"
         events.write_text('{"student_id":"s1","object_id":"p1","ts_ms":70000,"scroll_y":0}\n')
@@ -250,3 +281,36 @@ class TestArtifactDeterminism:
         assert (tmp_path / "a" / "cohort" / "events.jsonl").read_bytes() == (
             tmp_path / "b" / "cohort" / "events.jsonl"
         ).read_bytes()
+
+
+# sha256 of the seed-7 headline chain's outputs (`synth --students 142 --seed 7`
+# through `compare --seed 7`); a speedup or refactor keeps every byte.
+HEADLINE_SHA256 = {
+    "sessions.csv": "e8a5527daca54f4101c219ab432ea84a661e391555969e82e69bd17b2eee0a06",
+    "srl.csv": "4bde3a539d601cc4370f18314f7adb6f34851ce325762d60913f921b30867b53",
+    "baseline.csv": "aa5f2182467330b4ad10349d261b1b0bca78cb8ed7753327f364024dbd8bb5e6",
+    "model.json": "7f1e4e509565679d5977aab49afd4a4d67d80c83d9e5459b5bea980d28fc3dea",
+    "eval.json": "38e5f043758222b31014b5ab66da355be06a3dfbc53118841f11b8a1aa1cad75",
+    "compare.json": "e0b3b012cadfd95a2986d1129198eea022f2a1de42837373cbe4d0d02ea66560",
+    "store/events.jsonl": "13b14c1f90ef9eee06cfd5341ff97914e1a6a9155d68ee8855fd787f44eb20d9",
+    "store/attempts.csv": "f4e6ff5b6ccd44d73986f1692071f62cb61e8c226f30998e867d0408cc8596be",
+}
+
+
+def test_seed7_headline_chain_is_a_fixed_point(tmp_path):
+    d = tmp_path
+    store = str(d / "store")
+    for argv in (
+        ["synth", "--out", str(d / "cohort"), "--students", "142", "--seed", "7"],
+        ["ingest", "--events", str(d / "cohort" / "events.jsonl"),
+         "--attempts", str(d / "cohort" / "attempts.csv"), "--out", store],
+        ["sessionize", "--store", store, "--out", str(d / "sessions.csv")],
+        ["features", "--store", store, "--set", "srl", "--out", str(d / "srl.csv")],
+        ["features", "--store", store, "--set", "baseline", "--out", str(d / "baseline.csv")],
+        ["train", "--features", str(d / "srl.csv"), "--model", str(d / "model.json")],
+        ["evaluate", "--model", str(d / "model.json"), "--features", str(d / "srl.csv"),
+         "--report", str(d / "eval.json")],
+        ["compare", "--store", store, "--report", str(d / "compare.json"), "--seed", "7"],
+    ):
+        assert run(argv) == 0, argv[0]
+    assert {name: _digest(d / name) for name in HEADLINE_SHA256} == HEADLINE_SHA256

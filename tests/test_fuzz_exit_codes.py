@@ -31,7 +31,8 @@ CONFIG = (b'{"break_gap_ms": 300000, "top_band_px": 50.0, "n_rounds": 3, "learni
 
 INPUTS = {"events": "events.jsonl", "attempts": "attempts.csv", "features": "features.csv",
           "model": "model.json", "config": "config.json",
-          "store_events": "store/events.jsonl", "store_attempts": "store/attempts.csv"}
+          "store_events": "store/events.jsonl", "store_attempts": "store/attempts.csv",
+          "store_manifest": "store/manifest.json", "store_ts_ms": "store/events.ts_ms.npy"}
 
 
 def mutate(data: bytes, edits) -> bytes:
@@ -81,7 +82,7 @@ def stage_commands(d, name, bad):
     return [["train", "--features", str(bad), "--model", str(d / "out-model.json"), "--rounds", "2"], evaluate]
 
 
-@settings(max_examples=1400, deadline=None, derandomize=True)
+@settings(max_examples=1800, deadline=None, derandomize=True)
 @given(name=st.sampled_from(list(INPUTS)), edits=EDITS)
 def test_mutated_input_never_exits_3(files, name, edits):
     bad = files / "mutated" / INPUTS[name]

@@ -1,23 +1,31 @@
 """Parsing, store construction, and store serialization round-trips."""
 
+import hashlib
 import io
+import json
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import random_store_inputs
+from srltrace import ingest
 from srltrace.ingest import (
     ATTEMPTS_HEADER,
     InconsistentAttempts,
     MalformedAttempt,
     MalformedEvent,
+    EventRow,
     build_store,
+    event_to_json_line,
     load_store,
     parse_attempts,
     parse_events,
     save_store,
 )
-from srltrace.trace_model import QuizAttempt, ScrollEvent
+from srltrace.sessionize import UnsortedInput
+from srltrace.trace_model import DataError, QuizAttempt, ScrollEvent
 
 VALID_LINE = '{"student_id":"s1","object_id":"p1","ts_ms":1000,"scroll_y":0,"event":"scroll"}'
 
@@ -69,6 +77,29 @@ class TestParseEvents:
             parse_events(stream)
         assert exc.value.line_number == 2
         assert "scroll_y" in exc.value.reason
+
+    def test_ts_beyond_int64_reports_line(self):
+        stream = io.StringIO(VALID_LINE + "\n" + VALID_LINE.replace("1000", str(2**63)))
+        with pytest.raises(MalformedEvent) as exc:
+            parse_events(stream)
+        assert exc.value.line_number == 2
+
+
+NUMBERS = st.one_of(
+    st.floats(), st.integers(min_value=-(2**70), max_value=2**70), st.booleans(),
+    st.floats(allow_nan=False).map(np.float64),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ids=st.tuples(st.text(), st.text()), ts=NUMBERS, y=NUMBERS, height=st.one_of(st.none(), NUMBERS),
+       kind=st.sampled_from(["scroll", "pageload"]))
+def test_event_json_line_is_json_dumps(ids, ts, y, height, kind):
+    obj = {"student_id": ids[0], "object_id": ids[1], "ts_ms": ts, "scroll_y": y}
+    if height is not None:
+        obj["page_height"] = height
+    obj["event"] = kind
+    assert event_to_json_line(EventRow(*ids, ts, y, height, kind)) == json.dumps(obj, separators=(",", ":"))
 
 
 class TestParseAttempts:
@@ -147,7 +178,7 @@ class TestBuildStore:
 
     def test_student_without_events_permitted(self):
         store = build_store([], [_att(1, 100)])
-        assert store.events_for("s1") == ()
+        assert len(store.events_for("s1")) == 0
         assert store.n_attempts == 1
 
     def test_course_start_is_min_timestamp(self):
@@ -178,5 +209,67 @@ class TestStoreRoundTrip:
         random.Random(9).shuffle(shuffled_events)
         random.Random(9).shuffle(shuffled_attempts)
         save_store(build_store(shuffled_events, shuffled_attempts), tmp_path / "b")
-        for name in ("events.jsonl", "attempts.csv", "manifest.json"):
+        for name in ("events.jsonl", "attempts.csv", "manifest.json", *ingest.COLUMN_FILES):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+def _rehash(store_dir):
+    """Recompute every hash in the manifest, as a writer that skips ingest's checks would."""
+    path = store_dir / "manifest.json"
+    manifest = json.loads(path.read_text(encoding="utf-8"))
+    for name in manifest["files"]:
+        manifest["files"][name] = hashlib.sha256((store_dir / name).read_bytes()).hexdigest()
+    path.write_text(json.dumps(manifest), encoding="utf-8")
+
+
+class TestColumnarStore:
+    @pytest.fixture
+    def saved(self, tmp_path):
+        store = build_store(*random_store_inputs(random.Random(5)))
+        save_store(store, tmp_path / "store")
+        return store, tmp_path / "store"
+
+    def test_manifest_lists_every_file_with_its_hash(self, saved):
+        store, d = saved
+        manifest = json.loads((d / "manifest.json").read_text(encoding="utf-8"))
+        assert manifest["format_version"] == ingest.STORE_FORMAT_VERSION
+        assert manifest["counts"]["events"] == store.n_events
+        assert manifest["counts"]["attempts"] == store.n_attempts
+        assert set(manifest["files"]) == {"events.jsonl", "attempts.csv", *ingest.COLUMN_FILES}
+        for name, digest in manifest["files"].items():
+            assert hashlib.sha256((d / name).read_bytes()).hexdigest() == digest
+
+    def test_load_does_no_parsing(self, saved, monkeypatch):
+        store, d = saved
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("load_store parsed an event")
+
+        monkeypatch.setattr(ingest, "parse_events", refuse)
+        monkeypatch.setattr(ScrollEvent, "__init__", refuse)
+        assert load_store(d) == store
+
+    def test_unsorted_within_student_rejected_after_rehash(self, tmp_path):
+        d = tmp_path / "store"
+        save_store(build_store([_ev(10), _ev(20), _ev(30), _ev(5, sid="s2")], [_att(1, 100)]), d)
+        ts = np.load(d / "events.ts_ms.npy")
+        assert ts.tolist() == [10, 20, 30, 5]
+        ts[:2] = [20, 10]
+        np.save(d / "events.ts_ms.npy", ts, allow_pickle=False)
+        _rehash(d)
+        with pytest.raises(UnsortedInput, match="events.ts_ms.npy"):
+            load_store(d)
+
+    def test_code_out_of_range_rejected_after_rehash(self, saved):
+        _, d = saved
+        codes = np.load(d / "events.object_code.npy")
+        codes[-1] = 10_000
+        np.save(d / "events.object_code.npy", codes, allow_pickle=False)
+        _rehash(d)
+        with pytest.raises(DataError, match="events.object_code.npy"):
+            load_store(d)
+
+    def test_ids_with_trailing_nul_round_trip(self, tmp_path):
+        store = build_store([ScrollEvent("s1\x00", "p1\x00", 5, 1.0)], [_att(1, 100, sid="s1\x00")])
+        save_store(store, tmp_path / "store")
+        assert load_store(tmp_path / "store") == store

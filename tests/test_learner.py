@@ -409,6 +409,18 @@ class TestImportance:
         with pytest.raises(InvalidDataset):
             permutation_importance(model, bad)
 
+    @pytest.mark.parametrize("edit", ["fewer_columns", "renamed_column"])
+    def test_permutation_checks_column_names_as_evaluate_does(self, edit):
+        ds = random_ds(np.random.default_rng(6), 30, 3)
+        model = fit(ds, GbdtParams(n_rounds=5))
+        if edit == "fewer_columns":
+            bad = make_ds(ds.X[:, :2], ds.y)
+        else:
+            bad = make_ds(ds.X, ds.y, names=("f0", "f1", "other"))
+        for score in (evaluate, permutation_importance):
+            with pytest.raises(ArityMismatch, match="differ from the model's"):
+                score(model, bad)
+
 
 def reference_permutation_importance(model, ds, repeats, seed, threshold):
     """The definition: one full predict per shuffled copy of X, same RNG order."""

@@ -149,7 +149,7 @@ class TestReadingWindow:
 
     def test_empty_window_permitted(self):
         store = build_store([], [QuizAttempt("s1", "q1", 1, 100, 200, 50.0, 100.0)])
-        assert reading_window(store, store.attempts_for("s1", "q1")[0]).events == ()
+        assert len(reading_window(store, store.attempts_for("s1", "q1")[0]).events) == 0
 
 
 class TestOracleEquivalence:

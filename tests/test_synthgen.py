@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from srltrace.features import assemble_dataset
-from srltrace.ingest import build_store, load_store
+from srltrace.ingest import build_store, parse_attempts, parse_events
 from srltrace.learner import run_comparison
 from srltrace.sessionize import reading_window
 from srltrace.synthgen import Cohort, GenConfig, InvalidConfig, generate_cohort, write_cohort
@@ -56,7 +56,10 @@ class TestValidity:
         assert len({e.student_id for e in cohort.events}) == 30
         assert len({a.student_id for a in cohort.attempts}) == 30
         write_cohort(cohort, tmp_path / "d")
-        store = load_store(tmp_path / "d")  # parses through the ingest path
+        # parses through the ingest path, as `srltrace ingest` does
+        with open(tmp_path / "d" / "events.jsonl", encoding="utf-8") as events, \
+                open(tmp_path / "d" / "attempts.csv", encoding="utf-8") as attempts:
+            store = build_store(parse_events(events), parse_attempts(attempts))
         assert store.n_attempts == len(cohort.attempts)
 
     def test_every_attempt_has_nonempty_reading_window(self):
