@@ -8,7 +8,6 @@ from .trace_model import (
     ReadingSession,
     ScrollEvent,
     SessionizerConfig,
-    normalize_events,
 )
 from .ingest import (
     EventColumns,
@@ -18,6 +17,7 @@ from .ingest import (
     TraceStore,
     build_store,
     load_store,
+    normalize_events,
     parse_attempts,
     parse_events,
     save_store,

@@ -5,16 +5,15 @@ from __future__ import annotations
 import csv
 import json
 import math
+from array import array
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator
 
 import numpy as np
 
-from .trace_model import (
-    DataError, QuizAttempt, ScrollEvent, format_number, in_file, is_finite_number, normalize_events,
-)
+from .trace_model import DataError, QuizAttempt, ScrollEvent, check_event, format_number, in_file, is_finite_number
 
 ATTEMPTS_HEADER = "student_id,quiz_id,attempt_index,start_ts_ms,end_ts_ms,score,max_score"
 
@@ -71,46 +70,36 @@ def _require_number(obj: dict, key: str, line_number: int) -> float:
     return float(val)
 
 
-def parse_events(stream: Iterable[str]) -> list[ScrollEvent]:
-    """Parse a JSON Lines event stream; aborts on the first malformed line."""
-    events: list[ScrollEvent] = []
-    for line_number, line in enumerate(stream, start=1):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise MalformedEvent(line_number, f"invalid JSON: {exc.msg}") from exc
-        if not isinstance(obj, dict):
-            raise MalformedEvent(line_number, "line is not a JSON object")
-        student_id = obj.get("student_id")
-        object_id = obj.get("object_id")
-        if not isinstance(student_id, str):
-            raise MalformedEvent(line_number, "field 'student_id' missing or not a string")
-        if not isinstance(object_id, str):
-            raise MalformedEvent(line_number, "field 'object_id' missing or not a string")
-        ts_ms = obj.get("ts_ms")
-        if isinstance(ts_ms, bool) or not isinstance(ts_ms, int):
-            raise MalformedEvent(line_number, "field 'ts_ms' missing or not an integer")
-        scroll_y = _require_number(obj, "scroll_y", line_number)
-        page_height = None
-        if "page_height" in obj:
-            page_height = _require_number(obj, "page_height", line_number)
-        kind = obj.get("event", "scroll")
-        try:
-            events.append(
-                ScrollEvent(
-                    student_id=student_id,
-                    object_id=object_id,
-                    ts_ms=ts_ms,
-                    scroll_y=scroll_y,
-                    page_height=page_height,
-                    kind=kind,
-                )
-            )
-        except ValueError as exc:
-            raise MalformedEvent(line_number, str(exc)) from exc
-    return events
+def _parse_line(line_number: int, line: str) -> tuple:
+    """One event line as a checked row."""
+    try:
+        obj = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise MalformedEvent(line_number, f"invalid JSON: {exc.msg}") from exc
+    if not isinstance(obj, dict):
+        raise MalformedEvent(line_number, "line is not a JSON object")
+    student_id = obj.get("student_id")
+    object_id = obj.get("object_id")
+    if not isinstance(student_id, str):
+        raise MalformedEvent(line_number, "field 'student_id' missing or not a string")
+    if not isinstance(object_id, str):
+        raise MalformedEvent(line_number, "field 'object_id' missing or not a string")
+    ts_ms = obj.get("ts_ms")
+    if isinstance(ts_ms, bool) or not isinstance(ts_ms, int):
+        raise MalformedEvent(line_number, "field 'ts_ms' missing or not an integer")
+    scroll_y = _require_number(obj, "scroll_y", line_number)
+    page_height = _require_number(obj, "page_height", line_number) if "page_height" in obj else None
+    kind = obj.get("event", "scroll")
+    try:
+        check_event(ts_ms, scroll_y, page_height, kind)
+    except ValueError as exc:
+        raise MalformedEvent(line_number, str(exc)) from exc
+    return student_id, object_id, ts_ms, scroll_y, page_height, kind
+
+
+def parse_events(stream: Iterable[str]) -> EventColumns:
+    """The columns of a JSON Lines event stream, in file order; aborts on the first malformed line."""
+    return events_to_columns(_parse_line(n, line) for n, line in enumerate(stream, start=1) if line.strip())
 
 
 def parse_attempts(stream: Iterable[str]) -> list[QuizAttempt]:
@@ -132,39 +121,21 @@ def parse_attempts(stream: Iterable[str]) -> list[QuizAttempt]:
             score, max_score = float(row[5]), float(row[6])
             if not is_finite_number(score) or not is_finite_number(max_score):
                 raise ValueError("score and max_score must be finite numbers")
-            attempts.append(
-                QuizAttempt(
-                    student_id=row[0],
-                    quiz_id=row[1],
-                    attempt_index=int(row[2]),
-                    start_ts_ms=int(row[3]),
-                    end_ts_ms=int(row[4]),
-                    score=score,
-                    max_score=max_score,
-                )
-            )
+            # The fields in the order of ATTEMPTS_HEADER.
+            attempts.append(QuizAttempt(row[0], row[1], int(row[2]), int(row[3]), int(row[4]), score, max_score))
         except ValueError as exc:
             raise MalformedAttempt(line_number, str(exc)) from exc
     return attempts
 
 
-class EventRow(NamedTuple):
-    """One stored event, field for field as `ScrollEvent` holds it."""
-
-    student_id: str
-    object_id: str
-    ts_ms: int
-    scroll_y: float
-    page_height: float | None
-    kind: str
-
-
 @dataclass(frozen=True, eq=False)
 class EventColumns:
-    """Events as parallel arrays, sorted by student, then by time within a student.
+    """Events as parallel arrays; a store's are sorted by `normalize_events`.
 
     `student_code` and `object_code` index the sorted `students` and `objects`
     tables; `page_height` is NaN where an event has none. Slicing gives views.
+    A row is (student_id, object_id, ts_ms, scroll_y, page_height, kind), as a
+    `ScrollEvent` iterates.
     """
 
     ts_ms: np.ndarray
@@ -179,22 +150,22 @@ class EventColumns:
     def __len__(self) -> int:
         return len(self.ts_ms)
 
-    def __getitem__(self, rows: slice) -> "EventColumns":
+    def __getitem__(self, rows: slice | np.ndarray) -> "EventColumns":
         return EventColumns(*(getattr(self, c)[rows] for c in _COLUMN_DTYPES), self.students, self.objects)
 
-    def __iter__(self) -> Iterator[EventRow]:
+    def __iter__(self) -> Iterator[tuple]:
         # A chunk at a time: writing a store's events then holds few Python objects at once.
         students, objects = self.students, self.objects
         for lo in range(0, len(self), 4096):
             part = self[lo:lo + 4096]
-            yield from map(EventRow._make, zip(
+            yield from zip(
                 [students[c] for c in part.student_code.tolist()],
                 [objects[c] for c in part.object_code.tolist()],
                 part.ts_ms.tolist(),
                 part.scroll_y.tolist(),
                 [None if math.isnan(h) else h for h in part.page_height.tolist()],
                 ["pageload" if p else "scroll" for p in part.pageload.tolist()],
-            ))
+            )
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, EventColumns):
@@ -204,7 +175,7 @@ class EventColumns:
         )
 
 
-def _check_sorted(cols: EventColumns) -> None:
+def check_sorted(cols: EventColumns) -> None:
     """Raise UnsortedInput unless student codes ascend and each student's ts_ms never decreases."""
     code, ts = cols.student_code, cols.ts_ms
     same = code[1:] == code[:-1]
@@ -217,26 +188,55 @@ def _check_sorted(cols: EventColumns) -> None:
         )
 
 
-def events_to_columns(events: Sequence[ScrollEvent]) -> EventColumns:
-    """The columns of `events`, in their order, which must be by student id, then time."""
-    students = sorted({ev.student_id for ev in events})
-    objects = sorted({ev.object_id for ev in events})
-    student_code = {sid: i for i, sid in enumerate(students)}
-    object_code = {oid: i for i, oid in enumerate(objects)}
-    cols = EventColumns(
-        ts_ms=np.array([ev.ts_ms for ev in events], dtype=np.int64),
-        scroll_y=np.array([ev.scroll_y for ev in events], dtype=np.float64),
-        page_height=np.array(
-            [math.nan if ev.page_height is None else ev.page_height for ev in events], dtype=np.float64
-        ),
-        pageload=np.array([ev.kind == "pageload" for ev in events], dtype=np.bool_),
-        student_code=np.array([student_code[ev.student_id] for ev in events], dtype=np.int32),
-        object_code=np.array([object_code[ev.object_id] for ev in events], dtype=np.int32),
-        students=tuple(students),
-        objects=tuple(objects),
+def _coded(codes: dict[str, int], first_seen: array) -> tuple[tuple[str, ...], np.ndarray]:
+    """The sorted table of `codes`' strings, and `first_seen` codes mapped to their rank in it."""
+    table = sorted(codes)
+    rank = dict(zip(table, range(len(table))))
+    return tuple(table), np.array([rank[s] for s in codes], dtype=np.int32)[np.array(first_seen, dtype=np.intp)]
+
+
+def events_to_columns(events: EventColumns | Iterable) -> EventColumns:
+    """The columns of `ScrollEvent`s or rows, in their order; an `EventColumns` is returned as it is.
+
+    Each id is coded as it is read, so no row outlives its turn of the loop.
+    """
+    if isinstance(events, EventColumns):
+        return events
+    student_codes: dict[str, int] = {}
+    object_codes: dict[str, int] = {}
+    students, objects = array("q"), array("q")
+    ts_ms, scroll_y, page_height, pageload = array("q"), array("d"), array("d"), array("b")
+    for student_id, object_id, ts, y, height, kind in events:
+        students.append(student_codes.setdefault(student_id, len(student_codes)))
+        objects.append(object_codes.setdefault(object_id, len(object_codes)))
+        ts_ms.append(ts)
+        scroll_y.append(y)
+        page_height.append(math.nan if height is None else height)
+        pageload.append(kind == "pageload")
+    student_table, student_code = _coded(student_codes, students)
+    object_table, object_code = _coded(object_codes, objects)
+    return EventColumns(
+        np.array(ts_ms, dtype=np.int64), np.array(scroll_y), np.array(page_height), np.array(pageload, dtype=np.bool_),
+        student_code, object_code, student_table, object_table,
     )
-    _check_sorted(cols)
-    return cols
+
+
+def normalize_events(cols: EventColumns) -> EventColumns:
+    """Sort by student, ts_ms, object, scroll_y, pageload before scroll, then page height
+    (none as -1), and drop rows equal to their predecessor in every column.
+
+    Near-duplicates (same time, different scroll_y) are kept. Idempotent; the input is not mutated.
+    """
+    keys = (
+        cols.student_code, cols.ts_ms, cols.object_code, cols.scroll_y, ~cols.pageload,
+        np.where(np.isnan(cols.page_height), -1.0, cols.page_height),
+    )
+    order = np.lexsort(keys[::-1])
+    repeat = np.arange(len(order)) > 0
+    for key in keys:
+        key = key[order]
+        repeat[1:] &= key[1:] == key[:-1]
+    return cols[order[~repeat]]
 
 
 @dataclass(frozen=True)
@@ -304,9 +304,9 @@ def _index_store(events: EventColumns, attempts: list[QuizAttempt]) -> TraceStor
     )
 
 
-def build_store(events: list[ScrollEvent], attempts: list[QuizAttempt]) -> TraceStore:
+def build_store(events: EventColumns | Iterable[ScrollEvent], attempts: list[QuizAttempt]) -> TraceStore:
     """Normalize and index inputs; rejects inconsistent or overlapping attempt sequences."""
-    return _index_store(events_to_columns(normalize_events(events)), attempts)
+    return _index_store(normalize_events(events_to_columns(events)), attempts)
 
 
 def _json(value) -> str:
@@ -321,23 +321,21 @@ def _json(value) -> str:
     return json.dumps(value)
 
 
-def event_to_json_line(ev: ScrollEvent | EventRow) -> str:
+def event_to_json_line(student_id, object_id, ts_ms, scroll_y, page_height, kind) -> str:
     """The event as `json.dumps` writes its fields with separators (",", ":"); no page_height when None."""
-    height = "" if ev.page_height is None else f',"page_height":{_json(ev.page_height)}'
+    height = "" if page_height is None else f',"page_height":{_json(page_height)}'
     return (
-        f'{{"student_id":{_json(ev.student_id)},"object_id":{_json(ev.object_id)},"ts_ms":{_json(ev.ts_ms)},'
-        f'"scroll_y":{_json(ev.scroll_y)}{height},"event":{_json(ev.kind)}}}'
+        f'{{"student_id":{_json(student_id)},"object_id":{_json(object_id)},"ts_ms":{_json(ts_ms)},'
+        f'"scroll_y":{_json(scroll_y)}{height},"event":{_json(kind)}}}'
     )
 
 
-def write_trace_files(
-    out_dir: str | Path, events: Iterable[ScrollEvent | EventRow], attempts: Iterable[QuizAttempt]
-) -> None:
-    """Write events JSON Lines and the attempts CSV into `out_dir`, as the parsers read them."""
+def write_trace_files(out_dir: str | Path, events: Iterable[tuple], attempts: Iterable[QuizAttempt]) -> None:
+    """Write event rows as JSON Lines and the attempts CSV into `out_dir`, as the parsers read them."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     with open(out / EVENTS_FILENAME, "w", encoding="utf-8", newline="\n") as fh:
-        fh.writelines(event_to_json_line(ev) + "\n" for ev in events)
+        fh.writelines(event_to_json_line(*row) + "\n" for row in events)
     with open(out / ATTEMPTS_FILENAME, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(ATTEMPTS_HEADER.split(","))
@@ -437,7 +435,7 @@ def _read_columns(src: Path, manifest: dict) -> EventColumns:
             raise DataError(f"{src / f'events.{name}.npy'}: code out of range of the {len(table)}-entry table")
     cols = EventColumns(**columns, students=students, objects=objects)
     with in_file(src / "events.ts_ms.npy"):
-        _check_sorted(cols)
+        check_sorted(cols)
     return cols
 
 

@@ -274,13 +274,15 @@ def predict_proba_matrix(model: GbdtModel, X: np.ndarray) -> np.ndarray:
 def split_students(
     student_ids, test_fraction: float, seed: int
 ) -> tuple[list[str], list[str]]:
-    """Seeded student-level partition; test side gets ceil(fraction * n)."""
+    """Seeded student-level partition; test side gets ceil(fraction * n), which must leave one to train on."""
     students = sorted(set(student_ids))
     if len(students) < 2:
         raise InsufficientGroups(f"need >= 2 distinct students, got {len(students)}")
+    n_test = math.ceil(test_fraction * len(students))
+    if n_test >= len(students):
+        raise InsufficientGroups(f"test_fraction {test_fraction} leaves none of {len(students)} students to train on")
     rng = np.random.default_rng(seed)  # PCG64
     perm = rng.permutation(len(students))
-    n_test = math.ceil(test_fraction * len(students))
     test = sorted(students[i] for i in perm[:n_test])
     train = sorted(students[i] for i in perm[n_test:])
     return train, test

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .ingest import EventColumns, TraceStore, events_to_columns
+from .ingest import EventColumns, TraceStore, check_sorted, events_to_columns
 from .ingest import UnsortedInput  # noqa: F401 - re-exported: segment_sessions raises it
 from .trace_model import QuizAttempt, ReadingSession, ScrollEvent, SessionizerConfig
 
@@ -70,11 +70,12 @@ def segment_sessions(
 ) -> list[ReadingSession]:
     """Segment one student's sorted scroll stream into reading sessions.
 
-    A list of events goes through `events_to_columns`, as in `build_store`,
-    which raises UnsortedInput if their timestamps decrease.
+    A list of events goes through `events_to_columns`, which keeps its order, so
+    this path checks the order itself: UnsortedInput if the timestamps decrease.
     """
     if not isinstance(events, EventColumns):
         events = events_to_columns(events)
+        check_sorted(events)
     ts = events.ts_ms
     codes = events.object_code
     sessions: list[ReadingSession] = []

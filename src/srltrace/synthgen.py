@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .ingest import write_trace_files
-from .trace_model import InvalidConfig, QuizAttempt, ScrollEvent
+from .trace_model import InvalidConfig, QuizAttempt, ScrollEvent, event_row
 
 TRUTH_FILENAME = "truth.json"
 
@@ -346,7 +346,7 @@ def generate_cohort(cfg: GenConfig) -> Cohort:
 def write_cohort(cohort: Cohort, out_dir: str | Path) -> None:
     """Write events.jsonl, attempts.csv and truth.json (truth is test-only)."""
     out = Path(out_dir)
-    write_trace_files(out, cohort.events, cohort.attempts)
+    write_trace_files(out, map(event_row, cohort.events), cohort.attempts)
     with open(out / TRUTH_FILENAME, "w", encoding="utf-8") as fh:
         json.dump(cohort.truth, fh, indent=1)
         fh.write("\n")

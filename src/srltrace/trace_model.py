@@ -1,4 +1,4 @@
-"""Core domain types shared across the pipeline, plus raw event normalization.
+"""Core domain types shared across the pipeline, and the value checks of an event.
 
 All timestamps are integer epoch milliseconds (UTC). Durations are kept in ms
 throughout and converted to minutes only when features are emitted.
@@ -10,6 +10,7 @@ import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from numbers import Integral
+from operator import attrgetter
 
 EVENT_KINDS = ("scroll", "pageload")
 MAX_TS_MS = 2**63  # int64 epoch ms: the store's ts_ms column; also keeps attempt durations finite
@@ -64,6 +65,21 @@ def _check_types(cfg) -> None:
             raise InvalidConfig(f"{f.name} must be {kind}, got {value!r}")
 
 
+def check_event(ts_ms: int, scroll_y: float, page_height: float | None, kind) -> None:
+    """Raise ValueError unless the values make a valid event; the parser and `ScrollEvent` both call it."""
+    if not 0 <= ts_ms < MAX_TS_MS:
+        raise ValueError(f"ts_ms must be in [0, 2**63), got {ts_ms}")
+    if scroll_y < 0:
+        raise ValueError(f"scroll_y must be >= 0, got {scroll_y}")
+    if page_height is not None:
+        if page_height <= 0:
+            raise ValueError(f"page_height must be > 0, got {page_height}")
+        if scroll_y > page_height:
+            raise ValueError(f"scroll_y {scroll_y} exceeds page_height {page_height}")
+    if kind not in EVENT_KINDS:
+        raise ValueError(f"kind must be one of {EVENT_KINDS}, got {kind!r}")
+
+
 @dataclass(frozen=True)
 class ScrollEvent:
     """One timestamped scroll observation for a student on a page object."""
@@ -76,24 +92,14 @@ class ScrollEvent:
     kind: str = "scroll"
 
     def __post_init__(self) -> None:
-        if not 0 <= self.ts_ms < MAX_TS_MS:
-            raise ValueError(f"ts_ms must be in [0, 2**63), got {self.ts_ms}")
-        if self.scroll_y < 0:
-            raise ValueError(f"scroll_y must be >= 0, got {self.scroll_y}")
-        if self.page_height is not None:
-            if self.page_height <= 0:
-                raise ValueError(f"page_height must be > 0, got {self.page_height}")
-            if self.scroll_y > self.page_height:
-                raise ValueError(
-                    f"scroll_y {self.scroll_y} exceeds page_height {self.page_height}"
-                )
-        if self.kind not in EVENT_KINDS:
-            raise ValueError(f"kind must be one of {EVENT_KINDS}, got {self.kind!r}")
+        check_event(self.ts_ms, self.scroll_y, self.page_height, self.kind)
 
-    def sort_key(self) -> tuple:
-        # page_height/kind included only to make ordering total and stable.
-        ph = self.page_height if self.page_height is not None else -1.0
-        return (self.student_id, self.ts_ms, self.object_id, self.scroll_y, self.kind, ph)
+    def __iter__(self):
+        return iter(event_row(self))
+
+
+# A ScrollEvent's fields as a tuple in row order: an `EventColumns` row, `event_to_json_line`'s arguments.
+event_row = attrgetter("student_id", "object_id", "ts_ms", "scroll_y", "page_height", "kind")
 
 
 @dataclass(frozen=True)
@@ -229,17 +235,3 @@ class PipelineConfig:
             raise InvalidConfig("split_seed must be >= 0")
         if self.importance_repeats < 1:
             raise InvalidConfig("importance_repeats must be >= 1")
-
-
-def normalize_events(events: list[ScrollEvent]) -> list[ScrollEvent]:
-    """Sort events canonically and collapse exact duplicates.
-
-    Order is (student_id, ts_ms, object_id, scroll_y). Near-duplicates (same
-    timestamp, different scroll_y) are kept. Idempotent; input is not mutated.
-    """
-    out: list[ScrollEvent] = []
-    for ev in sorted(events, key=ScrollEvent.sort_key):
-        if out and out[-1] == ev:
-            continue
-        out.append(ev)
-    return out

@@ -68,6 +68,24 @@ def naive_count_backscrolls(events, cfg: SessionizerConfig) -> int:
     )
 
 
+def naive_normalize(events):
+    """The canonical order of ScrollEvents, with exact duplicates collapsed, by a plain object sort.
+
+    Key: student_id, ts_ms, object_id, scroll_y, kind ("pageload" < "scroll"),
+    then page_height with None as -1. Of equal events the first in input order stays.
+    """
+    def key(ev):
+        height = ev.page_height if ev.page_height is not None else -1.0
+        return (ev.student_id, ev.ts_ms, ev.object_id, ev.scroll_y, ev.kind, height)
+
+    out = []
+    for ev in sorted(events, key=key):
+        if out and out[-1] == ev:
+            continue
+        out.append(ev)
+    return out
+
+
 def random_trace(rng: random.Random, n_events: int, student_id: str = "s1"):
     """A sorted random scroll trace exercising all segmentation rules."""
     events = []

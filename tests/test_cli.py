@@ -180,6 +180,18 @@ class TestExitCodes:
         assert str(attempts) in err and "attempt 2" in err
         assert not (tmp_path / "store").exists()
 
+    def test_split_with_no_training_student_is_data_error(self, tmp_path, capsys):
+        cohort, store = tmp_path / "cohort", tmp_path / "store"
+        assert run(["synth", "--out", str(cohort), "--students", "2", "--seed", "3"]) == 0
+        assert run(["ingest", "--events", str(cohort / "events.jsonl"),
+                    "--attempts", str(cohort / "attempts.csv"), "--out", str(store)]) == 0
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"test_fraction": 0.6}))
+        code = run(["--config", str(cfg), "compare", "--store", str(store), "--report", str(tmp_path / "r.json")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "test_fraction 0.6" in err and "2 students" in err
+
     def test_evaluate_rejects_reordered_feature_columns(self, trained, tmp_path, capsys):
         feats, model = trained
         rows = [line.split(",") for line in feats.read_text().splitlines()]

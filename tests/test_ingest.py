@@ -7,22 +7,24 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from helpers import random_store_inputs
+from helpers import naive_normalize, random_store_inputs
 from srltrace import ingest
 from srltrace.ingest import (
     ATTEMPTS_HEADER,
     InconsistentAttempts,
     MalformedAttempt,
     MalformedEvent,
-    EventRow,
     build_store,
     event_to_json_line,
+    events_to_columns,
     load_store,
+    normalize_events,
     parse_attempts,
     parse_events,
     save_store,
+    write_trace_files,
 )
 from srltrace.sessionize import UnsortedInput
 from srltrace.trace_model import DataError, QuizAttempt, ScrollEvent
@@ -33,11 +35,11 @@ VALID_LINE = '{"student_id":"s1","object_id":"p1","ts_ms":1000,"scroll_y":0,"eve
 class TestParseEvents:
     def test_direct_field_mapping(self):
         events = parse_events(io.StringIO(VALID_LINE))
-        assert events == [ScrollEvent("s1", "p1", 1000, 0.0, None, "scroll")]
-        assert events[0].page_height is None
+        assert list(events) == [tuple(ScrollEvent("s1", "p1", 1000, 0.0, None, "scroll"))]
+        assert list(events)[0][4] is None
 
     def test_empty_stream(self):
-        assert parse_events(io.StringIO("")) == []
+        assert list(parse_events(io.StringIO(""))) == []
 
     def test_blank_lines_skipped(self):
         assert len(parse_events(io.StringIO(f"\n{VALID_LINE}\n\n"))) == 1
@@ -99,7 +101,7 @@ def test_event_json_line_is_json_dumps(ids, ts, y, height, kind):
     if height is not None:
         obj["page_height"] = height
     obj["event"] = kind
-    assert event_to_json_line(EventRow(*ids, ts, y, height, kind)) == json.dumps(obj, separators=(",", ":"))
+    assert event_to_json_line(*ids, ts, y, height, kind) == json.dumps(obj, separators=(",", ":"))
 
 
 class TestParseAttempts:
@@ -143,18 +145,91 @@ class TestParseAttempts:
         assert exc.value.line_number == 3
 
 
-def _ev(ts, y=0.0, sid="s1"):
-    return ScrollEvent(sid, "p1", ts, y)
+def _ev(ts, y=0.0, sid="s1", obj="p1", kind="scroll", height=None):
+    return ScrollEvent(sid, obj, ts, y, height, kind)
 
 
 def _att(idx, start, end=None, sid="s1", qid="q1", score=70.0):
     return QuizAttempt(sid, qid, idx, start, end if end is not None else start + 60_000, score, 100.0)
 
 
+def _normalized(events):
+    return list(normalize_events(events_to_columns(events)))
+
+
+class TestNormalizeEvents:
+    def test_empty(self):
+        assert _normalized([]) == []
+
+    def test_exact_duplicates_collapse(self):
+        e = _ev(10, 100.0)
+        assert _normalized([e, e]) == [tuple(e)]
+
+    def test_sorts_by_timestamp(self):
+        events = [_ev(30), _ev(10), _ev(20)]
+        assert normalize_events(events_to_columns(events)).ts_ms.tolist() == [10, 20, 30]
+
+    def test_near_duplicates_kept_ordered_by_scroll(self):
+        events = [_ev(10, 200.0), _ev(10, 100.0)]
+        assert normalize_events(events_to_columns(events)).scroll_y.tolist() == [100.0, 200.0]
+
+    def test_input_not_mutated(self):
+        cols = events_to_columns([_ev(30), _ev(10)])
+        normalize_events(cols)
+        assert cols.ts_ms.tolist() == [30, 10]
+
+    @given(
+        st.lists(
+            st.builds(
+                _ev,
+                ts=st.integers(min_value=0, max_value=10_000),
+                y=st.floats(min_value=0.0, max_value=1000.0, allow_nan=False),
+                sid=st.sampled_from(["s1", "s2"]),
+                obj=st.sampled_from(["p1", "p2"]),
+            ),
+            max_size=30,
+        )
+    )
+    def test_idempotent_and_preserves_distinct_events(self, events):
+        once = normalize_events(events_to_columns(events))
+        assert normalize_events(once) == once
+        assert len(once) <= len(events)
+        assert set(once) == set(map(tuple, events))
+
+
+@st.composite
+def _event_lists(draw):
+    """Events from small pools, some repeated, in any order: equal keys and duplicates are common."""
+    event = st.builds(
+        _ev,
+        ts=st.integers(min_value=0, max_value=3),
+        y=st.sampled_from([0.0, -0.0, 10.0, 50.0]),
+        sid=st.sampled_from(["s1", "s2", "s10"]),
+        obj=st.sampled_from(["p1", "p2", "p10"]),
+        kind=st.sampled_from(["scroll", "pageload"]),
+        height=st.sampled_from([None, 50.0, 60.0]),
+    )
+    events = draw(st.lists(event, max_size=40))
+    repeats = draw(st.lists(st.sampled_from(events), max_size=10)) if events else []
+    return draw(st.permutations(events + repeats))
+
+
+@settings(max_examples=300, deadline=None)
+@given(events=_event_lists())
+@example(events=[_ev(10, sid="s2"), _ev(10, sid="s10"), _ev(10, sid="s2"), _ev(10, sid="s10"), _ev(10, sid="s2")])
+@example(events=[_ev(10, -0.0), _ev(10, 0.0)])
+@example(events=[_ev(10, 0.0), _ev(10, -0.0)])
+@example(events=[_ev(10, height=900.0), _ev(10)])
+@example(events=[_ev(10), _ev(10, kind="pageload")])
+def test_normalize_events_matches_the_object_sort(events):
+    # repr tells -0.0 from 0.0, so the kept one of two equal rows must match too.
+    assert repr(_normalized(events)) == repr([tuple(ev) for ev in naive_normalize(events)])
+
+
 class TestBuildStore:
     def test_events_sorted_per_student(self):
         store = build_store([_ev(30), _ev(10), _ev(20)], [_att(1, 100)])
-        assert [e.ts_ms for e in store.events_for("s1")] == [10, 20, 30]
+        assert store.events_for("s1").ts_ms.tolist() == [10, 20, 30]
 
     def test_attempt_gap_rejected(self):
         with pytest.raises(InconsistentAttempts):
@@ -248,6 +323,21 @@ class TestColumnarStore:
         monkeypatch.setattr(ingest, "parse_events", refuse)
         monkeypatch.setattr(ScrollEvent, "__init__", refuse)
         assert load_store(d) == store
+
+    def test_parse_and_store_build_no_scroll_event(self, tmp_path, monkeypatch):
+        events, attempts = random_store_inputs(random.Random(6))
+        write_trace_files(tmp_path / "raw", events, attempts)
+        expected = build_store(events, attempts)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a ScrollEvent was built")
+
+        monkeypatch.setattr(ScrollEvent, "__init__", refuse)
+        with open(tmp_path / "raw" / "events.jsonl", encoding="utf-8") as fh:
+            store = build_store(parse_events(fh), attempts)
+        save_store(store, tmp_path / "store")
+        assert store == expected
+        assert load_store(tmp_path / "store") == expected
 
     def test_unsorted_within_student_rejected_after_rehash(self, tmp_path):
         d = tmp_path / "store"

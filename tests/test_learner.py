@@ -296,6 +296,11 @@ class TestGroupedSplit:
         with pytest.raises(InsufficientGroups):
             split_students(["s1", "s1"], 0.2, 1)
 
+    def test_fraction_leaving_no_training_student_rejected(self):
+        # ceil(0.6 * 2) == 2 would put both students on the test side.
+        with pytest.raises(InsufficientGroups, match=r"test_fraction 0\.6.*2 students"):
+            split_students(["s1", "s2"], 0.6, 1)
+
     def test_deterministic(self):
         students = [f"s{i}" for i in range(25)]
         assert split_students(students, 0.3, 42) == split_students(students, 0.3, 42)

@@ -139,13 +139,13 @@ class TestReadingWindow:
         w = reading_window(store, store.attempts_for("s1", "q1")[0])
         assert w.window_start_ts_ms == store.course_start_ts_ms == 100
         assert w.window_end_ts_ms == 450_000
-        assert [e.ts_ms for e in w.events] == [100, 400_000]
+        assert w.events.ts_ms.tolist() == [100, 400_000]
 
     def test_second_attempt_window_between_attempts(self):
         store = self._store()
         w = reading_window(store, store.attempts_for("s1", "q1")[1])
         assert (w.window_start_ts_ms, w.window_end_ts_ms) == (500_000, 900_000)
-        assert [e.ts_ms for e in w.events] == [600_000, 800_000]
+        assert w.events.ts_ms.tolist() == [600_000, 800_000]
 
     def test_empty_window_permitted(self):
         store = build_store([], [QuizAttempt("s1", "q1", 1, 100, 200, 50.0, 100.0)])

@@ -1,14 +1,12 @@
-"""Domain type validation and event normalization."""
+"""Domain type validation."""
 
 import pytest
-from hypothesis import given, strategies as st
 
 from srltrace.trace_model import (
     QuizAttempt,
     ReadingSession,
     ScrollEvent,
     SessionizerConfig,
-    normalize_events,
 )
 
 
@@ -101,44 +99,3 @@ class TestSessionizerConfig:
     def test_nonpositive_rejected(self):
         with pytest.raises(ValueError):
             SessionizerConfig(break_gap_ms=0)
-
-
-class TestNormalizeEvents:
-    def test_empty(self):
-        assert normalize_events([]) == []
-
-    def test_exact_duplicates_collapse(self):
-        e = ev(10, 100.0)
-        assert normalize_events([e, e]) == [e]
-
-    def test_sorts_by_timestamp(self):
-        events = [ev(30), ev(10), ev(20)]
-        assert [e.ts_ms for e in normalize_events(events)] == [10, 20, 30]
-
-    def test_near_duplicates_kept_ordered_by_scroll(self):
-        events = [ev(10, 200.0), ev(10, 100.0)]
-        out = normalize_events(events)
-        assert [e.scroll_y for e in out] == [100.0, 200.0]
-
-    def test_input_not_mutated(self):
-        events = [ev(30), ev(10)]
-        normalize_events(events)
-        assert [e.ts_ms for e in events] == [30, 10]
-
-    @given(
-        st.lists(
-            st.builds(
-                ev,
-                ts_ms=st.integers(min_value=0, max_value=10_000),
-                scroll_y=st.floats(min_value=0.0, max_value=1000.0, allow_nan=False),
-                student=st.sampled_from(["s1", "s2"]),
-                obj=st.sampled_from(["p1", "p2"]),
-            ),
-            max_size=30,
-        )
-    )
-    def test_idempotent_and_preserves_distinct_events(self, events):
-        once = normalize_events(events)
-        assert normalize_events(once) == once
-        assert len(once) <= len(events)
-        assert set(once) == set(events)
