@@ -16,8 +16,8 @@ from typing import Sequence
 import numpy as np
 
 from .ingest import TraceStore
-from .sessionize import reading_speed, reading_window, segment_sessions
-from .trace_model import DataError, PipelineConfig, QuizAttempt, ReadingSession, format_number
+from .sessionize import WindowCounts, window_counts
+from .trace_model import DataError, PipelineConfig, QuizAttempt, first_repeat, format_number
 
 BASELINE_FEATURES = [
     "reading_sessions",
@@ -71,21 +71,17 @@ def _prior_attempts(store: TraceStore, attempt: QuizAttempt) -> tuple[QuizAttemp
     return group[: attempt.attempt_index - 1]
 
 
-def _window_sessions(store: TraceStore, attempt: QuizAttempt, cfg: PipelineConfig) -> list[ReadingSession]:
-    return segment_sessions(reading_window(store, attempt).events, cfg.sessionizer)
-
-
 def _attempt_features(
     store: TraceStore,
     attempt: QuizAttempt,
-    sessions: Sequence[ReadingSession],
-    prev_sessions: Sequence[ReadingSession],
+    window: WindowCounts,
+    prev_window: WindowCounts,
     cfg: PipelineConfig,
 ) -> dict[str, float]:
-    """All 14 features of one attempt from its window's sessions and the previous attempt's."""
+    """All 14 features of one attempt from its window's counts and the previous attempt's."""
     priors = _prior_attempts(store, attempt)
-    backscrolls = sum(s.num_backscrolls for s in sessions)
-    prev_backscrolls = sum(s.num_backscrolls for s in prev_sessions) if priors else 0
+    backscrolls = window.backscrolls
+    prev_backscrolls = prev_window.backscrolls if priors else 0
     prev_fail = 1 if priors and not label_attempt(priors[-1], cfg) else 0
     quiz_time_diff = attempt.duration_mins - priors[-1].duration_mins if priors else 0.0
     # Needs two strictly prior attempts: trend of the two most recent scores
@@ -93,15 +89,15 @@ def _attempt_features(
     score_diff = priors[-1].score_fraction - priors[-2].score_fraction if len(priors) >= 2 else 0.0
     backscrolls_delta = float(backscrolls - prev_backscrolls)
     return {
-        "reading_sessions": float(len(sessions)),
-        "num_reading_breaks": float(sum(s.num_breaks for s in sessions)),
+        "reading_sessions": float(window.sessions),
+        "num_reading_breaks": float(window.breaks),
         "quiz_time_mins": attempt.duration_mins,
         "quiz_fails": float(sum(1 for p in priors if not label_attempt(p, cfg))),
         "quiz_attempts": float(attempt.attempt_index),
         "num_backscrolls": float(backscrolls),
         "backscrolls_delta": backscrolls_delta,
         "backscrolls_more": 1.0 if backscrolls_delta > 0 else 0.0,
-        "reading_speed": reading_speed(sessions),
+        "reading_speed": window.reading_speed,
         "prev_fail": float(prev_fail),
         "score_diff": score_diff,
         "improved_score": 1.0 if score_diff > 0 else 0.0,
@@ -111,9 +107,9 @@ def _attempt_features(
 
 
 def _recomputed_features(store: TraceStore, attempt: QuizAttempt, cfg: PipelineConfig) -> dict[str, float]:
-    priors = _prior_attempts(store, attempt)
-    prev_sessions = _window_sessions(store, priors[-1], cfg) if priors else []
-    return _attempt_features(store, attempt, _window_sessions(store, attempt, cfg), prev_sessions, cfg)
+    # Without a prior attempt the previous window is unused, and this passes the attempt's own.
+    windows = list(window_counts(store, [*_prior_attempts(store, attempt)[-1:], attempt], cfg.sessionizer))
+    return _attempt_features(store, attempt, windows[-1], windows[0], cfg)
 
 
 def baseline_features(store: TraceStore, attempt: QuizAttempt, cfg: PipelineConfig) -> dict[str, float]:
@@ -172,8 +168,9 @@ def feature_columns(feature_set: str, srl_only: bool = False) -> list[str]:
 def assemble_dataset(store: TraceStore, feature_set: str, cfg: PipelineConfig) -> Dataset:
     """One labeled row per attempt, sorted by (student_id, quiz_id, attempt_index).
 
-    Each reading window is segmented once: `all_attempts` lists every attempt
-    right after the previous attempt of its quiz, whose sessions it reuses.
+    Each student's stream is sessionized once: `all_attempts` lists the
+    attempts student by student, and every attempt right after the previous
+    attempt of its quiz, whose window counts it reuses.
     """
     attempts = store.all_attempts()
     if not attempts:
@@ -181,11 +178,10 @@ def assemble_dataset(store: TraceStore, feature_set: str, cfg: PipelineConfig) -
     names = feature_columns("srl")
 
     keys, rows, labels = [], [], []
-    prev_sessions: list[ReadingSession] = []
-    for att in attempts:
-        sessions = _window_sessions(store, att, cfg)
-        values = _attempt_features(store, att, sessions, prev_sessions, cfg)
-        prev_sessions = sessions
+    prev_window = WindowCounts(0, 0, 0, 0, 0)
+    for att, window in zip(attempts, window_counts(store, attempts, cfg.sessionizer)):
+        values = _attempt_features(store, att, window, prev_window, cfg)
+        prev_window = window
         keys.append((att.student_id, att.quiz_id, att.attempt_index))
         rows.append([values[c] for c in names])
         labels.append(label_attempt(att, cfg))
@@ -213,6 +209,9 @@ def load_dataset_csv(path: str | Path) -> Dataset:
         if header[:3] != ["student_id", "quiz_id", "attempt_index"] or len(header) < 4 or header[-1] != "label":
             raise InvalidDataset("line 1: header must be student_id,quiz_id,attempt_index,<features...>,label")
         names = tuple(header[3:-1])
+        repeated = first_repeat(names)
+        if repeated is not None:
+            raise InvalidDataset(f"line 1: feature column {repeated!r} appears more than once")
         keys, rows, labels = [], [], []
         for row in reader:
             if not row:

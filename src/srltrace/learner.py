@@ -18,7 +18,7 @@ import numpy as np
 
 from .features import BASELINE_FEATURES, Dataset, InvalidDataset, assemble_dataset, feature_columns
 from .ingest import TraceStore
-from .trace_model import DataError, GbdtParams, InvalidConfig, PipelineConfig, is_finite_number
+from .trace_model import DataError, GbdtParams, InvalidConfig, PipelineConfig, first_repeat, is_finite_number
 
 MODEL_FORMAT_VERSION = 1
 
@@ -523,6 +523,9 @@ def model_from_dict(obj) -> GbdtModel:
     names, params, trees = obj["feature_names"], obj["params"], obj["trees"]
     if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
         raise InvalidModel("feature_names must be a list of strings")
+    repeated = first_repeat(names)
+    if repeated is not None:
+        raise InvalidModel(f"feature_names repeat {repeated!r}")
     if not isinstance(params, dict) or params.keys() != {f.name for f in fields(GbdtParams)}:
         raise InvalidModel(f"params keys must be {[f.name for f in fields(GbdtParams)]}")
     if not isinstance(trees, list):

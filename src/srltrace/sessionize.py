@@ -10,7 +10,7 @@ count does not depend on the scroll sampling rate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -29,57 +29,121 @@ class ReadingWindow:
     events: EventColumns
 
 
-def _split_into_runs(events: EventColumns, cfg: SessionizerConfig) -> list[tuple[int, int, int, int, int]]:
-    """(first, stop, breaks, break ms, backscrolls) per session, in time order.
+def _per_active_minute(objects: int, active_ms: int) -> float:
+    return 0.0 if active_ms == 0 else objects / (active_ms / 60_000.0)
 
-    A session is the events [first, stop). Backscroll actions are maximal runs
-    of drops beyond epsilon on one object, and never span two sessions.
+
+class WindowCounts(NamedTuple):
+    """Totals over the sessions of one reading window."""
+
+    sessions: int
+    breaks: int
+    backscrolls: int
+    active_ms: int
+    objects: int  # distinct page objects
+
+    @property
+    def reading_speed(self) -> float:
+        """Distinct page objects per active minute."""
+        return _per_active_minute(self.objects, self.active_ms)
+
+
+def _prefix(values: np.ndarray) -> list[int]:
+    """[m] = sum of values[:m], for m in 0..len(values)."""
+    return [0, *values.cumsum(dtype=np.int64).tolist()]
+
+
+class _StreamPass:
+    """One student's sorted stream, sessionized once; any window [lo, hi) of it is read from prefix counts.
+
+    A session that starts at event k ends at the first pageload after k, or at
+    the first y <= top_band_px after the first event at or after k with
+    y >= min_depth_px, whichever comes first. That end depends only on events
+    from k onward, so a walk from lo restarts the state at lo exactly as a walk
+    over the window's events alone would.
     """
-    ts = events.ts_ms.tolist()
-    ys = events.scroll_y.tolist()
-    loads = events.pageload.tolist()
-    objs = events.object_code.tolist()
-    runs: list[tuple[int, int, int, int, int]] = []
-    first = breaks = break_ms = backscrolls = 0
-    max_depth = 0.0
-    in_drop = False
-    for i, y in enumerate(ys):
-        if i > first:
-            if loads[i] or (y <= cfg.top_band_px and max_depth >= cfg.min_depth_px):
-                # Boundary takes precedence: the gap before a restart is not a break.
-                runs.append((first, i, breaks, break_ms, backscrolls))
-                first, breaks, break_ms, backscrolls, max_depth, in_drop = i, 0, 0, 0, 0.0, False
-            else:
-                gap = ts[i] - ts[i - 1]
-                if gap > cfg.break_gap_ms:
-                    breaks += 1
-                    break_ms += gap
-                drop = objs[i] == objs[i - 1] and (ys[i - 1] - y) > cfg.backscroll_epsilon_px
-                if drop and not in_drop:
-                    backscrolls += 1
-                in_drop = drop
-        if y > max_depth:
-            max_depth = y
-    if ys:
-        runs.append((first, len(ys), breaks, break_ms, backscrolls))
-    return runs
+
+    def __init__(self, events: EventColumns, cfg: SessionizerConfig) -> None:
+        n = len(events)
+        ts, ys, objs = events.ts_ms, events.scroll_y, events.object_code
+        # Row by row, [m] = the first i >= m that is a pageload, a deep event or a
+        # top-band event, else n; for m in 0..n+1. One array for the three: a
+        # pass over a short stream is mostly NumPy call overhead.
+        first_from = np.full((3, n + 2), n)
+        masks = (events.pageload, ys >= cfg.min_depth_px, ys <= cfg.top_band_px)
+        first_from[:, :n] = np.where(masks, np.arange(n), n)
+        load, deep, top = np.minimum.accumulate(first_from[:, ::-1], axis=1)[:, ::-1]
+        self._stop = np.minimum(load[1 : n + 1], top[deep[:n] + 1]).tolist()
+        gap = np.zeros(n, dtype=np.int64)
+        gap[1:] = ts[1:] - ts[:-1]
+        big = gap > cfg.break_gap_ms
+        self._breaks = _prefix(big)
+        self._break_ms = _prefix(gap * big)
+        # drop[i]: event i is a fall of more than epsilon on the object of event i - 1.
+        drop = np.zeros(n + 1, dtype=np.bool_)
+        drop[1:n] = (objs[1:] == objs[:-1]) & (ys[:-1] - ys[1:] > cfg.backscroll_epsilon_px)
+        starts = drop[:n].copy()
+        starts[1:] &= ~drop[: n - 1]
+        self._drop_starts = _prefix(starts)
+        self._drop = drop.tolist()
+        self._ts = ts.tolist()
+        # The index of the previous event on the same object, or -1.
+        order = objs.argsort(kind="stable")
+        same = objs[order[1:]] == objs[order[:-1]]
+        self._prev_same_object = np.full(n, -1)
+        self._prev_same_object[order[1:][same]] = order[:-1][same]
+
+    def runs(self, lo: int, hi: int) -> list[tuple[int, int, int, int, int]]:
+        """(first, stop, breaks, break ms, backscrolls) per session of the window [lo, hi), in time order.
+
+        A session is the events [first, stop). Gaps and drops are counted from
+        first + 1: the gap before a session's first event is not a break, and a
+        drop run that began before it counts anew inside it.
+        """
+        stop_at, breaks, break_ms = self._stop, self._breaks, self._break_ms
+        starts, drop = self._drop_starts, self._drop
+        runs = []
+        a = lo
+        while a < hi:
+            b = min(stop_at[a], hi)
+            backscrolls = starts[b] - starts[a + 1]
+            if b > a + 1 and drop[a + 1] and drop[a]:
+                backscrolls += 1
+            runs.append((a, b, breaks[b] - breaks[a + 1], break_ms[b] - break_ms[a + 1], backscrolls))
+            a = b
+        return runs
+
+    def window(self, lo: int, hi: int) -> WindowCounts:
+        ts = self._ts
+        sessions = breaks = backscrolls = active_ms = 0
+        for first, stop, n_breaks, break_ms, n_backscrolls in self.runs(lo, hi):
+            sessions += 1
+            breaks += n_breaks
+            backscrolls += n_backscrolls
+            active_ms += ts[stop - 1] - ts[first] - break_ms
+        objects = int(np.count_nonzero(self._prev_same_object[lo:hi] < lo))
+        return WindowCounts(sessions, breaks, backscrolls, active_ms, objects)
+
+
+def _sorted_columns(events: EventColumns | Sequence[ScrollEvent]) -> EventColumns:
+    """`events` as columns. A list goes through `events_to_columns`, which keeps
+    its order, so it is checked here: UnsortedInput if the timestamps decrease."""
+    if isinstance(events, EventColumns):
+        return events
+    cols = events_to_columns(events)
+    check_sorted(cols)
+    return cols
 
 
 def segment_sessions(
     events: EventColumns | Sequence[ScrollEvent], cfg: SessionizerConfig
 ) -> list[ReadingSession]:
-    """Segment one student's sorted scroll stream into reading sessions.
-
-    A list of events goes through `events_to_columns`, which keeps its order, so
-    this path checks the order itself: UnsortedInput if the timestamps decrease.
-    """
-    if not isinstance(events, EventColumns):
-        events = events_to_columns(events)
-        check_sorted(events)
+    """Segment one student's sorted scroll stream into reading sessions; UnsortedInput if a list is out of order."""
+    events = _sorted_columns(events)
     ts = events.ts_ms
     codes = events.object_code
     sessions: list[ReadingSession] = []
-    for first, stop, breaks, break_ms, backscrolls in _split_into_runs(events, cfg):
+    for first, stop, breaks, break_ms, backscrolls in _StreamPass(events, cfg).runs(0, len(events)):
         start, end = int(ts[first]), int(ts[stop - 1])
         sessions.append(
             ReadingSession(
@@ -98,28 +162,29 @@ def segment_sessions(
 
 def count_backscrolls(events: EventColumns | Sequence[ScrollEvent], cfg: SessionizerConfig) -> int:
     """Total backscroll actions over the stream; pairs never cross sessions."""
-    return sum(s.num_backscrolls for s in segment_sessions(events, cfg))
+    events = _sorted_columns(events)
+    return _StreamPass(events, cfg).window(0, len(events)).backscrolls
 
 
 def reading_speed(sessions: Sequence[ReadingSession]) -> float:
     """Distinct page objects per active minute across the window's sessions."""
-    active_ms = sum(s.active_ms for s in sessions)
-    if active_ms == 0:
-        return 0.0
     objects: set[str] = set()
     for s in sessions:
         objects.update(s.object_ids)
-    return len(objects) / (active_ms / 60_000.0)
+    return _per_active_minute(len(objects), sum(s.active_ms for s in sessions))
+
+
+def _window_span(store: TraceStore, attempt: QuizAttempt) -> tuple[int, int]:
+    """[previous attempt end, this attempt start) in ms; from course start for attempt 1."""
+    if attempt.attempt_index > 1:
+        prev = store.attempts_for(attempt.student_id, attempt.quiz_id)[attempt.attempt_index - 2]
+        return prev.end_ts_ms, attempt.start_ts_ms
+    return store.course_start_ts_ms, attempt.start_ts_ms
 
 
 def reading_window(store: TraceStore, attempt: QuizAttempt) -> ReadingWindow:
     """Events in [previous attempt end, this attempt start); course start for attempt 1."""
-    if attempt.attempt_index > 1:
-        prev = store.attempts_for(attempt.student_id, attempt.quiz_id)[attempt.attempt_index - 2]
-        window_start = prev.end_ts_ms
-    else:
-        window_start = store.course_start_ts_ms
-    window_end = attempt.start_ts_ms
+    window_start, window_end = _window_span(store, attempt)
     evs = store.events_for(attempt.student_id)
     lo, hi = np.searchsorted(evs.ts_ms, (window_start, window_end)).tolist()
     return ReadingWindow(
@@ -128,3 +193,22 @@ def reading_window(store: TraceStore, attempt: QuizAttempt) -> ReadingWindow:
         window_end_ts_ms=window_end,
         events=evs[lo:hi],
     )
+
+
+def window_counts(
+    store: TraceStore, attempts: Iterable[QuizAttempt], cfg: SessionizerConfig
+) -> Iterator[WindowCounts]:
+    """The counts of each attempt's reading window, in order.
+
+    A student's stream is sessionized once for each run of that student's
+    attempts, and only that pass is held: attempts listed student by student,
+    as `all_attempts` lists them, cost one pass per student.
+    """
+    student = None
+    for att in attempts:
+        if att.student_id != student:
+            student, stream = att.student_id, None  # drop the last pass before the next is built
+            events = store.events_for(student)
+            stream = _StreamPass(events, cfg)
+        lo, hi = np.searchsorted(events.ts_ms, _window_span(store, att)).tolist()
+        yield stream.window(lo, hi)

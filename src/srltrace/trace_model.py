@@ -50,6 +50,16 @@ def format_number(value: float) -> str:
     return str(int(value)) if value == int(value) else repr(value)
 
 
+def first_repeat(names) -> str | None:
+    """The first name that appears a second time in `names`, or None."""
+    seen = set()
+    for name in names:
+        if name in seen:
+            return name
+        seen.add(name)
+    return None
+
+
 def _check_types(cfg) -> None:
     """Raise InvalidConfig naming the first scalar field whose value has the wrong type."""
     for f in fields(cfg):

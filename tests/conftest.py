@@ -12,14 +12,14 @@ def pytest_terminal_summary(terminalreporter):
 
 
 @pytest.fixture
-def split_calls(monkeypatch):
-    """A list that grows by one entry on every `sessionize._split_into_runs` call."""
-    calls = []
-    real = sessionize._split_into_runs
+def stream_passes(monkeypatch):
+    """A list that grows by the stream's length on every `sessionize._StreamPass` built."""
+    lengths = []
+    real = sessionize._StreamPass
 
     def counting(events, cfg):
-        calls.append(len(events))
+        lengths.append(len(events))
         return real(events, cfg)
 
-    monkeypatch.setattr(sessionize, "_split_into_runs", counting)
-    return calls
+    monkeypatch.setattr(sessionize, "_StreamPass", counting)
+    return lengths

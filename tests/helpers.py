@@ -68,6 +68,44 @@ def naive_count_backscrolls(events, cfg: SessionizerConfig) -> int:
     )
 
 
+def naive_split_into_runs(events, cfg: SessionizerConfig):
+    """(first, stop, breaks, break ms, backscrolls) per session of an `EventColumns`, one event at a time.
+
+    The reference for `sessionize._StreamPass`, which reads the same runs of
+    any window from one pass over the whole stream. A session is the events
+    [first, stop). Backscroll actions are maximal runs of drops beyond epsilon
+    on one object, and never span two sessions.
+    """
+    ts = events.ts_ms.tolist()
+    ys = events.scroll_y.tolist()
+    loads = events.pageload.tolist()
+    objs = events.object_code.tolist()
+    runs = []
+    first = breaks = break_ms = backscrolls = 0
+    max_depth = 0.0
+    in_drop = False
+    for i, y in enumerate(ys):
+        if i > first:
+            if loads[i] or (y <= cfg.top_band_px and max_depth >= cfg.min_depth_px):
+                # Boundary takes precedence: the gap before a restart is not a break.
+                runs.append((first, i, breaks, break_ms, backscrolls))
+                first, breaks, break_ms, backscrolls, max_depth, in_drop = i, 0, 0, 0, 0.0, False
+            else:
+                gap = ts[i] - ts[i - 1]
+                if gap > cfg.break_gap_ms:
+                    breaks += 1
+                    break_ms += gap
+                drop = objs[i] == objs[i - 1] and (ys[i - 1] - y) > cfg.backscroll_epsilon_px
+                if drop and not in_drop:
+                    backscrolls += 1
+                in_drop = drop
+        if y > max_depth:
+            max_depth = y
+    if ys:
+        runs.append((first, len(ys), breaks, break_ms, backscrolls))
+    return runs
+
+
 def naive_normalize(events):
     """The canonical order of ScrollEvents, with exact duplicates collapsed, by a plain object sort.
 

@@ -206,6 +206,17 @@ class TestExitCodes:
         assert str(reversed_csv) in err and "differ" in err
         assert not (tmp_path / "r.json").exists()
 
+    def test_train_rejects_repeated_feature_column(self, trained, tmp_path, capsys):
+        feats, _ = trained
+        header, rest = feats.read_text().split("\n", 1)
+        renamed = tmp_path / "renamed.csv"
+        renamed.write_text(header.replace("num_backscrolls", "reading_sessions") + "\n" + rest)
+        code = run(["train", "--features", str(renamed), "--model", str(tmp_path / "m.json"), "--rounds", "2"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert str(renamed) in err and "line 1" in err and "'reading_sessions'" in err
+        assert not (tmp_path / "m.json").exists()
+
     @pytest.mark.parametrize("corrupt, message", [
         ("feature_index_99", "out of range"),
         ("unknown_param", "params"),

@@ -10,6 +10,7 @@ from srltrace.features import (
     BASELINE_FEATURES,
     SRL_FEATURES,
     EmptyStore,
+    InvalidDataset,
     assemble_dataset,
     baseline_features,
     label_attempt,
@@ -243,10 +244,12 @@ class TestAssemblyReusesWindows:
             assert base.keys == srl.keys
             assert np.array_equal(base.X, srl.X[:, : len(BASELINE_FEATURES)])
 
-    def test_one_split_per_attempt(self, split_calls):
+    def test_one_pass_per_student(self, stream_passes):
         store = build_store(*random_store_inputs(random.Random(5)))
         assemble_dataset(store, "srl", CFG)
-        assert len(split_calls) == store.n_attempts
+        students = {a.student_id for a in store.all_attempts()}
+        assert len(stream_passes) == len(students)
+        assert sum(stream_passes) == sum(len(store.events_for(s)) for s in students)
 
 
 class TestNoLabelLeakage:
@@ -278,6 +281,14 @@ class TestCsvRoundTrip:
         assert again.feature_names == ds.feature_names
         assert np.array_equal(again.X, ds.X)
         assert np.array_equal(again.y, ds.y)
+
+    def test_repeated_feature_column_rejected(self, tmp_path):
+        path = tmp_path / "ds.csv"
+        save_dataset_csv(assemble_dataset(_seven_attempt_store(), "srl", CFG), path)
+        header, rest = path.read_text().split("\n", 1)
+        path.write_text(header.replace("num_backscrolls", "reading_sessions") + "\n" + rest)
+        with pytest.raises(InvalidDataset, match="line 1: .*'reading_sessions'"):
+            load_dataset_csv(path)
 
     def test_save_is_byte_deterministic(self, tmp_path):
         ds = assemble_dataset(_seven_attempt_store(), "srl", CFG)

@@ -16,6 +16,7 @@ from srltrace.learner import (
     GbdtModel,
     InsufficientGroups,
     InvalidDataset,
+    InvalidModel,
     TreeNode,
     confusion_counts,
     evaluate,
@@ -599,6 +600,12 @@ class TestModelSerialization:
         save_model(load_model(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_repeated_feature_names_rejected(self):
+        obj = model_to_dict(GbdtModel(0.0, [], ("f0", "f1"), GbdtParams()))
+        obj["feature_names"] = ["f0", "f0"]
+        with pytest.raises(InvalidModel, match="'f0'"):
+            model_from_dict(obj)
+
     def test_unknown_format_version_rejected(self):
         obj = model_to_dict(GbdtModel(0.0, [], ("f0",), GbdtParams()))
         obj["format_version"] = 999
@@ -612,10 +619,12 @@ class TestRunComparison:
     def _store(self):
         return build_store(*random_store_inputs(random.Random(11), n_students=8))
 
-    def test_one_split_per_attempt(self, split_calls):
+    def test_one_pass_per_student(self, stream_passes):
         store = self._store()
         run_comparison(store, self.CFG)
-        assert len(split_calls) == store.n_attempts
+        students = {a.student_id for a in store.all_attempts()}
+        assert len(stream_passes) == len(students)
+        assert sum(stream_passes) == sum(len(store.events_for(s)) for s in students)
 
     def test_srl_only_reports_only_srl_columns(self):
         report = run_comparison(self._store(), replace(self.CFG, srl_only=True))

@@ -3,15 +3,17 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from helpers import (
     naive_count_backscrolls,
     naive_session_stats,
+    naive_split_into_runs,
     naive_split_sessions,
     random_trace,
 )
-from srltrace.ingest import build_store
+from srltrace import sessionize
+from srltrace.ingest import build_store, events_to_columns
 from srltrace.sessionize import (
     UnsortedInput,
     count_backscrolls,
@@ -179,6 +181,67 @@ class TestOracleEquivalence:
         rng = random.Random(5)
         for _ in range(100):
             self._assert_matches(random_trace(rng, rng.randrange(0, 120)), cfg)
+
+
+# (ms since the previous event, scroll_y, object, kind): gaps and depths on
+# both sides of the default config's thresholds (300,000 ms; top band 50 px,
+# depth 200 px, backscroll epsilon 50 px), equal timestamps, two objects.
+_STEPS = st.lists(
+    st.tuples(
+        st.sampled_from([0, 1, 299_999, 300_000, 300_001, 1_000_000]),
+        st.one_of(st.sampled_from([0.0, 49.0, 50.0, 51.0, 100.0, 150.0, 199.0, 200.0, 201.0, 900.0]),
+                  st.floats(0.0, 1200.0)),
+        st.sampled_from(["a", "b"]),
+        st.sampled_from(["scroll", "scroll", "scroll", "pageload"]),
+    ),
+    max_size=24,
+)
+
+
+def _stream(steps):
+    ts, events = 0, []
+    for gap, y, obj, kind in steps:
+        ts += gap
+        events.append(ScrollEvent("s1", obj, ts, y, None, kind))
+    return events_to_columns(events)
+
+
+# The second config puts the top band over the minimum depth: one event can be both.
+_CONFIGS = st.sampled_from([
+    CFG, SessionizerConfig(break_gap_ms=1, top_band_px=250.0, min_depth_px=200.0, backscroll_epsilon_px=1.0),
+])
+
+
+@settings(max_examples=300, deadline=None)
+@given(steps=_STEPS, cfg=_CONFIGS)
+# A drop run from event 1 on: windows from 2 and 3 start inside it.
+@example(cfg=CFG, steps=[(0, 0.0, "a", "scroll"), *((1_000, y, "a", "scroll") for y in (900.0, 700.0, 500.0, 300.0))])
+# Depth exactly min_depth_px, then y exactly top_band_px: a restart.
+@example(cfg=CFG, steps=[
+    (0, 0.0, "a", "scroll"), (1, 200.0, "a", "scroll"), (1, 50.0, "a", "scroll"),
+    (1, 200.0, "a", "scroll"), (400_000, 50.0, "a", "scroll"),
+])
+# A pageload inside a drop run, and the object changing inside one at equal timestamps.
+@example(cfg=CFG, steps=[
+    (0, 900.0, "a", "scroll"), (0, 700.0, "a", "scroll"), (0, 500.0, "a", "pageload"),
+    (0, 300.0, "a", "scroll"), (0, 100.0, "b", "scroll"), (0, 0.0, "b", "scroll"),
+])
+def test_stream_pass_matches_the_per_event_loop_on_every_window(steps, cfg):
+    events = _stream(steps)
+    stream = sessionize._StreamPass(events, cfg)
+    ts = events.ts_ms.tolist()
+    for lo in range(len(events) + 1):
+        for hi in range(lo, len(events) + 1):
+            window = events[lo:hi]
+            expected = [(lo + a, lo + b, *counts) for a, b, *counts in naive_split_into_runs(window, cfg)]
+            assert stream.runs(lo, hi) == expected
+            assert stream.window(lo, hi) == (
+                len(expected),
+                sum(r[2] for r in expected),
+                sum(r[4] for r in expected),
+                sum(ts[b - 1] - ts[a] - ms for a, b, _, ms, _ in expected),
+                len(set(window.object_code.tolist())),
+            )
 
 
 class TestMonotonicityAndInvariance:
