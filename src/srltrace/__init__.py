@@ -6,7 +6,6 @@ from .trace_model import (
     PipelineConfig,
     QuizAttempt,
     ReadingSession,
-    ScrollEvent,
     SessionizerConfig,
 )
 from .ingest import (
@@ -26,7 +25,6 @@ from .sessionize import (
     ReadingWindow,
     UnsortedInput,
     count_backscrolls,
-    reading_speed,
     reading_window,
     segment_sessions,
 )

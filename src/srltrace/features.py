@@ -213,17 +213,24 @@ def load_dataset_csv(path: str | Path) -> Dataset:
         if repeated is not None:
             raise InvalidDataset(f"line 1: feature column {repeated!r} appears more than once")
         keys, rows, labels = [], [], []
+        seen = set()
         for row in reader:
             if not row:
                 continue
             if len(row) != len(header):
                 raise InvalidDataset(f"line {reader.line_num}: expected {len(header)} fields, got {len(row)}")
             try:
-                keys.append((row[0], row[1], int(row[2])))
+                key = (row[0], row[1], int(row[2]))
                 rows.append([float(v) for v in row[3:-1]])
                 labels.append(float(row[-1]))
             except ValueError as exc:
                 raise InvalidDataset(f"line {reader.line_num}: {exc}") from None
+            if key in seen:
+                raise InvalidDataset(
+                    f"line {reader.line_num}: attempt (student_id, quiz_id, attempt_index) {key} appears more than once"
+                )
+            seen.add(key)
+            keys.append(key)
     return Dataset(
         keys=tuple(keys),
         feature_names=names,

@@ -13,9 +13,10 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .trace_model import DataError, QuizAttempt, ScrollEvent, check_event, format_number, in_file, is_finite_number
+from .trace_model import MAX_TS_MS, DataError, QuizAttempt, format_number, in_file, is_finite_number
 
 ATTEMPTS_HEADER = "student_id,quiz_id,attempt_index,start_ts_ms,end_ts_ms,score,max_score"
+EVENT_KINDS = ("scroll", "pageload")
 
 EVENTS_FILENAME = "events.jsonl"
 ATTEMPTS_FILENAME = "attempts.csv"
@@ -71,7 +72,7 @@ def _require_number(obj: dict, key: str, line_number: int) -> float:
 
 
 def _parse_line(line_number: int, line: str) -> tuple:
-    """One event line as a checked row."""
+    """One event line as a row; the one place an event's fields and values are checked."""
     try:
         obj = json.loads(line)
     except json.JSONDecodeError as exc:
@@ -90,10 +91,17 @@ def _parse_line(line_number: int, line: str) -> tuple:
     scroll_y = _require_number(obj, "scroll_y", line_number)
     page_height = _require_number(obj, "page_height", line_number) if "page_height" in obj else None
     kind = obj.get("event", "scroll")
-    try:
-        check_event(ts_ms, scroll_y, page_height, kind)
-    except ValueError as exc:
-        raise MalformedEvent(line_number, str(exc)) from exc
+    if not 0 <= ts_ms < MAX_TS_MS:
+        raise MalformedEvent(line_number, f"ts_ms must be in [0, 2**63), got {ts_ms}")
+    if scroll_y < 0:
+        raise MalformedEvent(line_number, f"scroll_y must be >= 0, got {scroll_y}")
+    if page_height is not None:
+        if page_height <= 0:
+            raise MalformedEvent(line_number, f"page_height must be > 0, got {page_height}")
+        if scroll_y > page_height:
+            raise MalformedEvent(line_number, f"scroll_y {scroll_y} exceeds page_height {page_height}")
+    if kind not in EVENT_KINDS:
+        raise MalformedEvent(line_number, f"kind must be one of {EVENT_KINDS}, got {kind!r}")
     return student_id, object_id, ts_ms, scroll_y, page_height, kind
 
 
@@ -134,8 +142,8 @@ class EventColumns:
 
     `student_code` and `object_code` index the sorted `students` and `objects`
     tables; `page_height` is NaN where an event has none. Slicing gives views.
-    A row is (student_id, object_id, ts_ms, scroll_y, page_height, kind), as a
-    `ScrollEvent` iterates.
+    Iterating yields the events as rows (student_id, object_id, ts_ms,
+    scroll_y, page_height, kind), the shape `events_to_columns` takes.
     """
 
     ts_ms: np.ndarray
@@ -196,7 +204,7 @@ def _coded(codes: dict[str, int], first_seen: array) -> tuple[tuple[str, ...], n
 
 
 def events_to_columns(events: EventColumns | Iterable) -> EventColumns:
-    """The columns of `ScrollEvent`s or rows, in their order; an `EventColumns` is returned as it is.
+    """The columns of event rows, in their order; an `EventColumns` is returned as it is.
 
     Each id is coded as it is read, so no row outlives its turn of the loop.
     """
@@ -304,7 +312,7 @@ def _index_store(events: EventColumns, attempts: list[QuizAttempt]) -> TraceStor
     )
 
 
-def build_store(events: EventColumns | Iterable[ScrollEvent], attempts: list[QuizAttempt]) -> TraceStore:
+def build_store(events: EventColumns | Iterable[tuple], attempts: list[QuizAttempt]) -> TraceStore:
     """Normalize and index inputs; rejects inconsistent or overlapping attempt sequences."""
     return _index_store(normalize_events(events_to_columns(events)), attempts)
 

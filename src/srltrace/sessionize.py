@@ -16,7 +16,7 @@ import numpy as np
 
 from .ingest import EventColumns, TraceStore, check_sorted, events_to_columns
 from .ingest import UnsortedInput  # noqa: F401 - re-exported: segment_sessions raises it
-from .trace_model import QuizAttempt, ReadingSession, ScrollEvent, SessionizerConfig
+from .trace_model import QuizAttempt, ReadingSession, SessionizerConfig
 
 
 @dataclass(frozen=True)
@@ -27,10 +27,6 @@ class ReadingWindow:
     window_start_ts_ms: int
     window_end_ts_ms: int
     events: EventColumns
-
-
-def _per_active_minute(objects: int, active_ms: int) -> float:
-    return 0.0 if active_ms == 0 else objects / (active_ms / 60_000.0)
 
 
 class WindowCounts(NamedTuple):
@@ -45,7 +41,7 @@ class WindowCounts(NamedTuple):
     @property
     def reading_speed(self) -> float:
         """Distinct page objects per active minute."""
-        return _per_active_minute(self.objects, self.active_ms)
+        return 0.0 if self.active_ms == 0 else self.objects / (self.active_ms / 60_000.0)
 
 
 def _prefix(values: np.ndarray) -> list[int]:
@@ -125,9 +121,9 @@ class _StreamPass:
         return WindowCounts(sessions, breaks, backscrolls, active_ms, objects)
 
 
-def _sorted_columns(events: EventColumns | Sequence[ScrollEvent]) -> EventColumns:
-    """`events` as columns. A list goes through `events_to_columns`, which keeps
-    its order, so it is checked here: UnsortedInput if the timestamps decrease."""
+def _sorted_columns(events: EventColumns | Sequence[tuple]) -> EventColumns:
+    """`events` as columns. A list of rows goes through `events_to_columns`, which
+    keeps its order, so it is checked here: UnsortedInput if the timestamps decrease."""
     if isinstance(events, EventColumns):
         return events
     cols = events_to_columns(events)
@@ -136,7 +132,7 @@ def _sorted_columns(events: EventColumns | Sequence[ScrollEvent]) -> EventColumn
 
 
 def segment_sessions(
-    events: EventColumns | Sequence[ScrollEvent], cfg: SessionizerConfig
+    events: EventColumns | Sequence[tuple], cfg: SessionizerConfig
 ) -> list[ReadingSession]:
     """Segment one student's sorted scroll stream into reading sessions; UnsortedInput if a list is out of order."""
     events = _sorted_columns(events)
@@ -160,18 +156,10 @@ def segment_sessions(
     return sessions
 
 
-def count_backscrolls(events: EventColumns | Sequence[ScrollEvent], cfg: SessionizerConfig) -> int:
+def count_backscrolls(events: EventColumns | Sequence[tuple], cfg: SessionizerConfig) -> int:
     """Total backscroll actions over the stream; pairs never cross sessions."""
     events = _sorted_columns(events)
     return _StreamPass(events, cfg).window(0, len(events)).backscrolls
-
-
-def reading_speed(sessions: Sequence[ReadingSession]) -> float:
-    """Distinct page objects per active minute across the window's sessions."""
-    objects: set[str] = set()
-    for s in sessions:
-        objects.update(s.object_ids)
-    return _per_active_minute(len(objects), sum(s.active_ms for s in sessions))
 
 
 def _window_span(store: TraceStore, attempt: QuizAttempt) -> tuple[int, int]:

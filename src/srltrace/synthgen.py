@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .ingest import write_trace_files
-from .trace_model import InvalidConfig, QuizAttempt, ScrollEvent, event_row
+from .trace_model import InvalidConfig, QuizAttempt
 
 TRUTH_FILENAME = "truth.json"
 
@@ -97,7 +97,7 @@ class GenConfig:
 
 @dataclass
 class Cohort:
-    events: list[ScrollEvent]
+    events: list[tuple]  # rows (student_id, object_id, ts_ms, scroll_y, page_height, kind)
     attempts: list[QuizAttempt]
     truth: dict = field(default_factory=dict)
 
@@ -118,12 +118,12 @@ def _emit_episode(
     n_backscrolls: int,
     dt_scale: float,
     break_prob: float,
-) -> tuple[list[ScrollEvent], int]:
+) -> tuple[list[tuple], int]:
     """One reading episode: sessions with downs scrolls, backscroll runs,
     occasional breaks, and restart-from-top / pageload boundaries."""
     cal = CALIBRATION
     page_height = cal["page_height"]
-    events: list[ScrollEvent] = []
+    events: list[tuple] = []
     # backscroll actions spread over sessions
     per_session = [0] * n_sessions
     for _ in range(n_backscrolls):
@@ -135,10 +135,10 @@ def _emit_episode(
         if s == 0 or rng.random() < 0.5:
             # page (re)load starts the session; usually on a new object
             obj = objects[int(rng.integers(len(objects)))]
-            events.append(ScrollEvent(student_id, obj, t, 0.0, page_height, "pageload"))
+            events.append((student_id, obj, t, 0.0, page_height, "pageload"))
         else:
             # restart-from-top on the same object
-            events.append(ScrollEvent(student_id, obj, t, float(rng.uniform(0, 40)), page_height, "scroll"))
+            events.append((student_id, obj, t, float(rng.uniform(0, 40)), page_height, "scroll"))
         t += int(rng.uniform(2000, 9000) * dt_scale)
 
         y = float(rng.uniform(60, 150))
@@ -146,7 +146,7 @@ def _emit_episode(
         remaining_backscrolls = per_session[s]
         # scroll to the bottom, interleaving backscroll runs
         while y < page_height - 100:
-            events.append(ScrollEvent(student_id, obj, t, y, page_height, "scroll"))
+            events.append((student_id, obj, t, y, page_height, "scroll"))
             t += int(rng.uniform(2000, 9000) * dt_scale)
             if breaks_left and rng.random() < 0.2:
                 t += int(rng.uniform(360_000, 900_000))
@@ -155,20 +155,20 @@ def _emit_episode(
                 run_len = int(rng.integers(1, 4))
                 for _ in range(run_len):
                     y = max(100.0, y - float(rng.uniform(100, 400)))
-                    events.append(ScrollEvent(student_id, obj, t, y, page_height, "scroll"))
+                    events.append((student_id, obj, t, y, page_height, "scroll"))
                     t += int(rng.uniform(1500, 5000) * dt_scale)
                 remaining_backscrolls -= 1
             y += float(rng.uniform(150, 350))
-        events.append(ScrollEvent(student_id, obj, t, min(y, page_height), page_height, "scroll"))
+        events.append((student_id, obj, t, min(y, page_height), page_height, "scroll"))
         t += int(rng.uniform(3000, 12000) * dt_scale)
         # any backscrolls not spent mid-page happen near the bottom
         while remaining_backscrolls:
             yy = min(y, page_height)
             for _ in range(int(rng.integers(1, 3))):
                 yy = max(100.0, yy - float(rng.uniform(100, 400)))
-                events.append(ScrollEvent(student_id, obj, t, yy, page_height, "scroll"))
+                events.append((student_id, obj, t, yy, page_height, "scroll"))
                 t += int(rng.uniform(1500, 5000) * dt_scale)
-            events.append(ScrollEvent(student_id, obj, t, min(yy + float(rng.uniform(120, 300)), page_height), page_height, "scroll"))
+            events.append((student_id, obj, t, min(yy + float(rng.uniform(120, 300)), page_height), page_height, "scroll"))
             t += int(rng.uniform(2000, 6000) * dt_scale)
             remaining_backscrolls -= 1
     return events, t
@@ -189,7 +189,7 @@ def _score_for(rng: np.random.Generator, passed: bool, adjusted: bool | None) ->
 
 def _generate_student(
     cfg: GenConfig, student_index: int
-) -> tuple[list[ScrollEvent], list[QuizAttempt], dict, list[dict]]:
+) -> tuple[list[tuple], list[QuizAttempt], dict, list[dict]]:
     cal = CALIBRATION
     rng = np.random.default_rng([cfg.seed, student_index])
     student_id = f"s{student_index + 1:03d}"
@@ -204,7 +204,7 @@ def _generate_student(
     backscroll_base = max(0.0, float(rng.normal(cal["backscroll_base_mean"], cal["backscroll_base_sd"])))
     dt_scale = float(np.exp(cal["care_dt_coef"] * care + rng.normal(0, cal["care_dt_noise"])))
 
-    events: list[ScrollEvent] = []
+    events: list[tuple] = []
     attempts: list[QuizAttempt] = []
     truth_rows: list[dict] = []
     t = int(rng.uniform(0, 48 * 3600 * 1000))
@@ -318,7 +318,7 @@ def _generate_student(
 
 def generate_cohort(cfg: GenConfig) -> Cohort:
     """Generate all students; deterministic per seed (per-student substreams)."""
-    events: list[ScrollEvent] = []
+    events: list[tuple] = []
     attempts: list[QuizAttempt] = []
     students: dict[str, dict] = {}
     rows: list[dict] = []
@@ -346,7 +346,7 @@ def generate_cohort(cfg: GenConfig) -> Cohort:
 def write_cohort(cohort: Cohort, out_dir: str | Path) -> None:
     """Write events.jsonl, attempts.csv and truth.json (truth is test-only)."""
     out = Path(out_dir)
-    write_trace_files(out, map(event_row, cohort.events), cohort.attempts)
+    write_trace_files(out, cohort.events, cohort.attempts)
     with open(out / TRUTH_FILENAME, "w", encoding="utf-8") as fh:
         json.dump(cohort.truth, fh, indent=1)
         fh.write("\n")

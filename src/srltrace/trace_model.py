@@ -1,4 +1,4 @@
-"""Core domain types shared across the pipeline, and the value checks of an event.
+"""Core domain types shared across the pipeline.
 
 All timestamps are integer epoch milliseconds (UTC). Durations are kept in ms
 throughout and converted to minutes only when features are emitted.
@@ -10,9 +10,7 @@ import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from numbers import Integral
-from operator import attrgetter
 
-EVENT_KINDS = ("scroll", "pageload")
 MAX_TS_MS = 2**63  # int64 epoch ms: the store's ts_ms column; also keeps attempt durations finite
 
 
@@ -73,43 +71,6 @@ def _check_types(cfg) -> None:
         if not ok:
             kind = "a finite number" if f.type == "float" else f"of type {f.type}"
             raise InvalidConfig(f"{f.name} must be {kind}, got {value!r}")
-
-
-def check_event(ts_ms: int, scroll_y: float, page_height: float | None, kind) -> None:
-    """Raise ValueError unless the values make a valid event; the parser and `ScrollEvent` both call it."""
-    if not 0 <= ts_ms < MAX_TS_MS:
-        raise ValueError(f"ts_ms must be in [0, 2**63), got {ts_ms}")
-    if scroll_y < 0:
-        raise ValueError(f"scroll_y must be >= 0, got {scroll_y}")
-    if page_height is not None:
-        if page_height <= 0:
-            raise ValueError(f"page_height must be > 0, got {page_height}")
-        if scroll_y > page_height:
-            raise ValueError(f"scroll_y {scroll_y} exceeds page_height {page_height}")
-    if kind not in EVENT_KINDS:
-        raise ValueError(f"kind must be one of {EVENT_KINDS}, got {kind!r}")
-
-
-@dataclass(frozen=True)
-class ScrollEvent:
-    """One timestamped scroll observation for a student on a page object."""
-
-    student_id: str
-    object_id: str
-    ts_ms: int
-    scroll_y: float
-    page_height: float | None = None
-    kind: str = "scroll"
-
-    def __post_init__(self) -> None:
-        check_event(self.ts_ms, self.scroll_y, self.page_height, self.kind)
-
-    def __iter__(self):
-        return iter(event_row(self))
-
-
-# A ScrollEvent's fields as a tuple in row order: an `EventColumns` row, `event_to_json_line`'s arguments.
-event_row = attrgetter("student_id", "object_id", "ts_ms", "scroll_y", "page_height", "kind")
 
 
 @dataclass(frozen=True)

@@ -8,13 +8,25 @@ path; it is the oracle the production implementation is checked against.
 from __future__ import annotations
 
 import random
+from typing import NamedTuple
 
 from srltrace.ingest import build_store
-from srltrace.trace_model import QuizAttempt, ScrollEvent, SessionizerConfig
+from srltrace.trace_model import QuizAttempt, SessionizerConfig
 
 # Pass/fail checklist lines collected by the acceptance tests and echoed in
 # the terminal summary (see conftest.py).
 ACCEPTANCE_LINES: list[str] = []
+
+
+class Event(NamedTuple):
+    """An event row in the field order `build_store` and `segment_sessions` take, with names for fixtures."""
+
+    student_id: str
+    object_id: str
+    ts_ms: int
+    scroll_y: float
+    page_height: float | None = None
+    kind: str = "scroll"
 
 
 def naive_split_sessions(events, cfg: SessionizerConfig):
@@ -107,7 +119,7 @@ def naive_split_into_runs(events, cfg: SessionizerConfig):
 
 
 def naive_normalize(events):
-    """The canonical order of ScrollEvents, with exact duplicates collapsed, by a plain object sort.
+    """The canonical order of `Event`s, with exact duplicates collapsed, by a plain sort.
 
     Key: student_id, ts_ms, object_id, scroll_y, kind ("pageload" < "scroll"),
     then page_height with None as -1. Of equal events the first in input order stays.
@@ -132,7 +144,7 @@ def random_trace(rng: random.Random, n_events: int, student_id: str = "s1"):
         t += rng.choice([0, 100, 1_000, 5_000, 40_000, 200_000, 350_000, 700_000])
         kind = "pageload" if rng.random() < 0.07 else "scroll"
         events.append(
-            ScrollEvent(
+            Event(
                 student_id=student_id,
                 object_id=rng.choice(["p1", "p2", "p3"]),
                 ts_ms=t,
@@ -153,10 +165,7 @@ def random_store_inputs(rng: random.Random, n_students: int = 6, n_quizzes: int 
         t = rng.randrange(0, 50_000)
         trace = random_trace(rng, rng.randrange(5, 60), student_id=sid)
         shift = t - trace[0].ts_ms if trace else 0
-        for ev in trace:
-            events.append(
-                ScrollEvent(sid, ev.object_id, ev.ts_ms + shift, ev.scroll_y, ev.page_height, ev.kind)
-            )
+        events.extend(ev._replace(ts_ms=ev.ts_ms + shift) for ev in trace)
         t = (events[-1].ts_ms if trace else t) + rng.randrange(1_000, 50_000)
         for qi in range(n_quizzes):
             qid = f"q{qi}"
@@ -189,4 +198,4 @@ def mutate_score(store, target: QuizAttempt, new_score: float):
             att = QuizAttempt(att.student_id, att.quiz_id, att.attempt_index,
                               att.start_ts_ms, att.end_ts_ms, new_score, att.max_score)
         attempts.append(att)
-    return build_store([ScrollEvent(*row) for row in store.events], attempts)
+    return build_store(store.events, attempts)

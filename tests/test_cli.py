@@ -217,6 +217,24 @@ class TestExitCodes:
         assert str(renamed) in err and "line 1" in err and "'reading_sessions'" in err
         assert not (tmp_path / "m.json").exists()
 
+    @pytest.mark.parametrize("stage", ["train", "evaluate"])
+    def test_repeated_attempt_row_is_data_error(self, trained, tmp_path, capsys, stage):
+        feats, model = trained
+        lines = feats.read_text().splitlines(keepends=True)
+        repeated = tmp_path / "repeated.csv"
+        repeated.write_text("".join(lines + lines[1:2]))
+        key = tuple(lines[1].split(",")[:3])
+        out = tmp_path / "out.json"
+        argv = {
+            "train": ["train", "--features", str(repeated), "--model", str(out), "--rounds", "2"],
+            "evaluate": ["evaluate", "--model", str(model), "--features", str(repeated), "--report", str(out)],
+        }[stage]
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert str(repeated) in err and f"line {len(lines) + 1}" in err
+        assert f"({key[0]!r}, {key[1]!r}, {key[2]})" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("corrupt, message", [
         ("feature_index_99", "out of range"),
         ("unknown_param", "params"),
@@ -309,6 +327,9 @@ class TestArtifactDeterminism:
 # sha256 of the seed-7 headline chain's outputs (`synth --students 142 --seed 7`
 # through `compare --seed 7`); a speedup or refactor keeps every byte.
 HEADLINE_SHA256 = {
+    "cohort/truth.json": "46cf9fd9ac5cabd1452ee14db015958fce57412e5f1bb4cb4dd92810162a0846",
+    "cohort/events.jsonl": "13b14c1f90ef9eee06cfd5341ff97914e1a6a9155d68ee8855fd787f44eb20d9",
+    "cohort/attempts.csv": "f4e6ff5b6ccd44d73986f1692071f62cb61e8c226f30998e867d0408cc8596be",
     "sessions.csv": "e8a5527daca54f4101c219ab432ea84a661e391555969e82e69bd17b2eee0a06",
     "srl.csv": "4bde3a539d601cc4370f18314f7adb6f34851ce325762d60913f921b30867b53",
     "baseline.csv": "aa5f2182467330b4ad10349d261b1b0bca78cb8ed7753327f364024dbd8bb5e6",

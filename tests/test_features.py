@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from helpers import mutate_score, random_store_inputs
+from helpers import Event, mutate_score, random_store_inputs
 from srltrace.features import (
     BASELINE_FEATURES,
     SRL_FEATURES,
@@ -19,7 +19,7 @@ from srltrace.features import (
     srl_features,
 )
 from srltrace.ingest import build_store
-from srltrace.trace_model import PipelineConfig, QuizAttempt, ScrollEvent
+from srltrace.trace_model import PipelineConfig, QuizAttempt
 
 CFG = PipelineConfig()
 
@@ -33,9 +33,7 @@ def _backscroll_events(t0, n_drops, sid="s1", obj="p1"):
     ys = [100.0]
     for _ in range(n_drops):
         ys.extend([800.0, 100.0])
-    return [
-        ScrollEvent(sid, obj, t0 + i * 10_000, y, None, "scroll") for i, y in enumerate(ys)
-    ]
+    return [Event(sid, obj, t0 + i * 10_000, y) for i, y in enumerate(ys)]
 
 
 class TestLabelAttempt:
@@ -65,12 +63,12 @@ class TestBaselineFeatures:
         # Window of attempt 3 holds two sessions separated by a restart-from-top,
         # with one >300 s idle gap inside the first session.
         events = [
-            ScrollEvent("s1", "p1", 2_100_000, 0.0),
-            ScrollEvent("s1", "p1", 2_110_000, 500.0),
-            ScrollEvent("s1", "p1", 2_120_000, 900.0),
-            ScrollEvent("s1", "p1", 2_500_000, 950.0),  # 380 s gap: break
-            ScrollEvent("s1", "p1", 2_510_000, 0.0),    # restart: new session
-            ScrollEvent("s1", "p1", 2_520_000, 300.0),
+            Event("s1", "p1", 2_100_000, 0.0),
+            Event("s1", "p1", 2_110_000, 500.0),
+            Event("s1", "p1", 2_120_000, 900.0),
+            Event("s1", "p1", 2_500_000, 950.0),  # 380 s gap: break
+            Event("s1", "p1", 2_510_000, 0.0),    # restart: new session
+            Event("s1", "p1", 2_520_000, 300.0),
         ]
         attempts = [
             _att(1, 1_000_000, 1_060_000, 30.0),
@@ -288,6 +286,14 @@ class TestCsvRoundTrip:
         header, rest = path.read_text().split("\n", 1)
         path.write_text(header.replace("num_backscrolls", "reading_sessions") + "\n" + rest)
         with pytest.raises(InvalidDataset, match="line 1: .*'reading_sessions'"):
+            load_dataset_csv(path)
+
+    def test_repeated_attempt_key_rejected_at_its_line(self, tmp_path):
+        path = tmp_path / "ds.csv"
+        save_dataset_csv(assemble_dataset(_seven_attempt_store(), "srl", CFG), path)
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(lines + lines[1:3]))  # rows of ('s1', 'q1', 1) and 2 again, as lines 9 and 10
+        with pytest.raises(InvalidDataset, match=r"line 9: .*\('s1', 'q1', 1\)"):
             load_dataset_csv(path)
 
     def test_save_is_byte_deterministic(self, tmp_path):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from helpers import naive_normalize, random_store_inputs
+from helpers import Event, naive_normalize, random_store_inputs
 from srltrace import ingest
 from srltrace.ingest import (
     ATTEMPTS_HEADER,
@@ -27,7 +27,7 @@ from srltrace.ingest import (
     write_trace_files,
 )
 from srltrace.sessionize import UnsortedInput
-from srltrace.trace_model import DataError, QuizAttempt, ScrollEvent
+from srltrace.trace_model import DataError, QuizAttempt
 
 VALID_LINE = '{"student_id":"s1","object_id":"p1","ts_ms":1000,"scroll_y":0,"event":"scroll"}'
 
@@ -35,8 +35,10 @@ VALID_LINE = '{"student_id":"s1","object_id":"p1","ts_ms":1000,"scroll_y":0,"eve
 class TestParseEvents:
     def test_direct_field_mapping(self):
         events = parse_events(io.StringIO(VALID_LINE))
-        assert list(events) == [tuple(ScrollEvent("s1", "p1", 1000, 0.0, None, "scroll"))]
+        assert list(events) == [Event("s1", "p1", 1000, 0.0, None, "scroll")]
         assert list(events)[0][4] is None
+        line = VALID_LINE.replace('"scroll_y":0', '"scroll_y":250,"page_height":2000')
+        assert list(parse_events(io.StringIO(line))) == [Event("s1", "p1", 1000, 250.0, 2000.0, "scroll")]
 
     def test_empty_stream(self):
         assert list(parse_events(io.StringIO(""))) == []
@@ -45,10 +47,12 @@ class TestParseEvents:
         assert len(parse_events(io.StringIO(f"\n{VALID_LINE}\n\n"))) == 1
 
     def test_negative_ts_reports_line(self):
-        stream = io.StringIO(VALID_LINE + "\n" + VALID_LINE.replace("1000", "-5"))
-        with pytest.raises(MalformedEvent) as exc:
-            parse_events(stream)
-        assert exc.value.line_number == 2
+        bad = VALID_LINE.replace("1000", "-5")
+        for text, line_number in ((VALID_LINE + "\n" + bad, 2), (bad, 1)):
+            with pytest.raises(MalformedEvent) as exc:
+                parse_events(io.StringIO(text))
+            assert exc.value.line_number == line_number
+            assert exc.value.reason == "ts_ms must be in [0, 2**63), got -5"
 
     def test_invalid_json(self):
         with pytest.raises(MalformedEvent):
@@ -64,9 +68,27 @@ class TestParseEvents:
             parse_events(io.StringIO(line))
 
     def test_scroll_beyond_page_height(self):
-        line = '{"student_id":"s1","object_id":"p1","ts_ms":1,"scroll_y":900,"page_height":800}'
-        with pytest.raises(MalformedEvent):
+        for y, height in ((900, 800), (2001, 2000)):
+            line = f'{{"student_id":"s1","object_id":"p1","ts_ms":1,"scroll_y":{y},"page_height":{height}}}'
+            with pytest.raises(MalformedEvent) as exc:
+                parse_events(io.StringIO(line))
+            assert exc.value.line_number == 1
+            assert exc.value.reason == f"scroll_y {float(y)} exceeds page_height {float(height)}"
+
+    def test_scroll_at_page_height_accepted(self):
+        line = VALID_LINE.replace('"scroll_y":0', '"scroll_y":2000,"page_height":2000')
+        assert parse_events(io.StringIO(line)).scroll_y.tolist() == [2000.0]
+
+    @pytest.mark.parametrize("fields, reason", [
+        ('"scroll_y":-1', "scroll_y must be >= 0, got -1.0"),
+        ('"scroll_y":0,"page_height":0', "page_height must be > 0, got 0.0"),
+        ('"scroll_y":0,"event":"click"', "kind must be one of ('scroll', 'pageload'), got 'click'"),
+    ], ids=["negative-scroll_y", "zero-page_height", "unknown-kind"])
+    def test_out_of_range_value_reports_line_and_reason(self, fields, reason):
+        line = VALID_LINE.replace('"scroll_y":0,"event":"scroll"', fields)
+        with pytest.raises(MalformedEvent) as exc:
             parse_events(io.StringIO(line))
+        assert (exc.value.line_number, exc.value.reason) == (1, reason)
 
     def test_unknown_fields_ignored(self):
         line = VALID_LINE[:-1] + ',"extra":42}'
@@ -146,7 +168,7 @@ class TestParseAttempts:
 
 
 def _ev(ts, y=0.0, sid="s1", obj="p1", kind="scroll", height=None):
-    return ScrollEvent(sid, obj, ts, y, height, kind)
+    return Event(sid, obj, ts, y, height, kind)
 
 
 def _att(idx, start, end=None, sid="s1", qid="q1", score=70.0):
@@ -321,18 +343,12 @@ class TestColumnarStore:
             raise AssertionError("load_store parsed an event")
 
         monkeypatch.setattr(ingest, "parse_events", refuse)
-        monkeypatch.setattr(ScrollEvent, "__init__", refuse)
         assert load_store(d) == store
 
-    def test_parse_and_store_build_no_scroll_event(self, tmp_path, monkeypatch):
+    def test_parsed_file_stores_as_its_rows_do(self, tmp_path):
         events, attempts = random_store_inputs(random.Random(6))
         write_trace_files(tmp_path / "raw", events, attempts)
         expected = build_store(events, attempts)
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("a ScrollEvent was built")
-
-        monkeypatch.setattr(ScrollEvent, "__init__", refuse)
         with open(tmp_path / "raw" / "events.jsonl", encoding="utf-8") as fh:
             store = build_store(parse_events(fh), attempts)
         save_store(store, tmp_path / "store")
@@ -360,6 +376,6 @@ class TestColumnarStore:
             load_store(d)
 
     def test_ids_with_trailing_nul_round_trip(self, tmp_path):
-        store = build_store([ScrollEvent("s1\x00", "p1\x00", 5, 1.0)], [_att(1, 100, sid="s1\x00")])
+        store = build_store([Event("s1\x00", "p1\x00", 5, 1.0)], [_att(1, 100, sid="s1\x00")])
         save_store(store, tmp_path / "store")
         assert load_store(tmp_path / "store") == store

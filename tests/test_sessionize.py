@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from helpers import (
+    Event,
     naive_count_backscrolls,
     naive_session_stats,
     naive_split_into_runs,
@@ -17,17 +18,17 @@ from srltrace.ingest import build_store, events_to_columns
 from srltrace.sessionize import (
     UnsortedInput,
     count_backscrolls,
-    reading_speed,
     reading_window,
     segment_sessions,
+    window_counts,
 )
-from srltrace.trace_model import QuizAttempt, ScrollEvent, SessionizerConfig
+from srltrace.trace_model import QuizAttempt, SessionizerConfig
 
 CFG = SessionizerConfig()
 
 
 def ev(ts_ms, scroll_y, obj="p1", kind="scroll"):
-    return ScrollEvent("s1", obj, ts_ms, float(scroll_y), None, kind)
+    return Event("s1", obj, ts_ms, float(scroll_y), None, kind)
 
 
 def trace(*pairs):
@@ -109,22 +110,27 @@ class TestCountBackscrolls:
 
 
 class TestReadingSpeed:
+    @staticmethod
+    def _counts(events):
+        """The window counts of one attempt that starts after every event: its window holds them all."""
+        end = events[-1].ts_ms
+        store = build_store(events, [QuizAttempt("s1", "q1", 1, end + 1, end + 60_000, 50.0, 100.0)])
+        (counts,) = window_counts(store, store.all_attempts(), CFG)
+        return counts
+
     def test_three_objects_ninety_seconds(self):
-        sessions = segment_sessions(
-            [ev(0, 100, obj="a"), ev(30_000, 110, obj="b"), ev(90_000, 120, obj="c")], CFG
-        )
-        assert reading_speed(sessions) == pytest.approx(2.0)
+        counts = self._counts([ev(0, 100, obj="a"), ev(30_000, 110, obj="b"), ev(90_000, 120, obj="c")])
+        assert counts.reading_speed == pytest.approx(2.0)
 
     def test_single_event_window(self):
-        assert reading_speed(segment_sessions([ev(0, 100)], CFG)) == 0.0
+        assert self._counts([ev(0, 100)]).reading_speed == 0.0
 
     def test_break_excluded_from_denominator(self):
         # 460 s elapsed, 400 s break -> 60 s active over 2 objects -> 2.0/min.
-        events = [ev(0, 100, obj="a"), ev(30_000, 110, obj="a"),
-                  ev(430_000, 120, obj="b"), ev(460_000, 130, obj="b")]
-        sessions = segment_sessions(events, CFG)
-        assert sum(s.num_breaks for s in sessions) == 1
-        assert reading_speed(sessions) == pytest.approx(2.0)
+        counts = self._counts([ev(0, 100, obj="a"), ev(30_000, 110, obj="a"),
+                               ev(430_000, 120, obj="b"), ev(460_000, 130, obj="b")])
+        assert counts.breaks == 1
+        assert counts.reading_speed == pytest.approx(2.0)
 
 
 class TestReadingWindow:
@@ -202,7 +208,7 @@ def _stream(steps):
     ts, events = 0, []
     for gap, y, obj, kind in steps:
         ts += gap
-        events.append(ScrollEvent("s1", obj, ts, y, None, kind))
+        events.append(Event("s1", obj, ts, y, None, kind))
     return events_to_columns(events)
 
 
@@ -265,10 +271,7 @@ class TestMonotonicityAndInvariance:
     @given(shift=st.integers(min_value=0, max_value=10**9), seed=st.integers(0, 1000))
     def test_translation_invariance(self, shift, seed):
         events = random_trace(random.Random(seed), 60)
-        shifted = [
-            ScrollEvent(e.student_id, e.object_id, e.ts_ms + shift, e.scroll_y, e.page_height, e.kind)
-            for e in events
-        ]
+        shifted = [e._replace(ts_ms=e.ts_ms + shift) for e in events]
         a = segment_sessions(events, CFG)
         b = segment_sessions(shifted, CFG)
         assert [(s.event_count, s.num_breaks, s.num_backscrolls, s.active_ms) for s in a] == [

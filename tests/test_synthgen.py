@@ -50,13 +50,15 @@ class TestDeterminism:
 
 
 class TestValidity:
-    def test_student_count_and_ingest(self, tmp_path):
-        cfg = GenConfig(n_students=30, seed=9)
+    # The default shape, and the long-history benchmark workload's 48 quizzes per student.
+    @pytest.mark.parametrize("cfg", [GenConfig(n_students=30, seed=9), GenConfig(n_students=10, n_quizzes=48, seed=7)],
+                             ids=["6-quizzes", "48-quizzes"])
+    def test_student_count_and_ingest(self, tmp_path, cfg):
         cohort = generate_cohort(cfg)
-        assert len({e.student_id for e in cohort.events}) == 30
-        assert len({a.student_id for a in cohort.attempts}) == 30
+        assert len({e[0] for e in cohort.events}) == cfg.n_students
+        assert len({a.student_id for a in cohort.attempts}) == cfg.n_students
         write_cohort(cohort, tmp_path / "d")
-        # parses through the ingest path, as `srltrace ingest` does
+        # parses through the ingest path, as `srltrace ingest` does: every generated row's values are checked
         with open(tmp_path / "d" / "events.jsonl", encoding="utf-8") as events, \
                 open(tmp_path / "d" / "attempts.csv", encoding="utf-8") as attempts:
             store = build_store(parse_events(events), parse_attempts(attempts))

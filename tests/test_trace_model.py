@@ -2,53 +2,7 @@
 
 import pytest
 
-from srltrace.trace_model import (
-    QuizAttempt,
-    ReadingSession,
-    ScrollEvent,
-    SessionizerConfig,
-)
-
-
-def ev(ts_ms, scroll_y=0.0, student="s1", obj="p1", kind="scroll", page_height=None):
-    return ScrollEvent(
-        student_id=student,
-        object_id=obj,
-        ts_ms=ts_ms,
-        scroll_y=scroll_y,
-        page_height=page_height,
-        kind=kind,
-    )
-
-
-class TestScrollEvent:
-    def test_valid(self):
-        e = ev(1000, 250.0, page_height=2000.0)
-        assert e.ts_ms == 1000
-        assert e.kind == "scroll"
-
-    def test_negative_ts_rejected(self):
-        with pytest.raises(ValueError):
-            ev(-5)
-
-    def test_negative_scroll_rejected(self):
-        with pytest.raises(ValueError):
-            ev(0, -1.0)
-
-    def test_scroll_beyond_page_height_rejected(self):
-        with pytest.raises(ValueError):
-            ev(0, 2001.0, page_height=2000.0)
-
-    def test_scroll_at_page_height_ok(self):
-        assert ev(0, 2000.0, page_height=2000.0).scroll_y == 2000.0
-
-    def test_nonpositive_page_height_rejected(self):
-        with pytest.raises(ValueError):
-            ev(0, 0.0, page_height=0.0)
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError):
-            ev(0, kind="click")
+from srltrace.trace_model import QuizAttempt, ReadingSession, SessionizerConfig
 
 
 class TestQuizAttempt:
