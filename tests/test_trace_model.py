@@ -1,8 +1,39 @@
 """Domain type validation."""
 
+import io
+import json
+
 import pytest
 
+from helpers import Event
+from srltrace.ingest import MalformedEvent, parse_events
 from srltrace.trace_model import QuizAttempt, ReadingSession, SessionizerConfig
+
+
+def event_line(ts_ms, scroll_y=0.0, page_height=None):
+    fields = {"student_id": "s1", "object_id": "p1", "ts_ms": ts_ms, "scroll_y": scroll_y, "event": "scroll"}
+    if page_height is not None:
+        fields["page_height"] = page_height
+    return io.StringIO(json.dumps(fields))
+
+
+class TestScrollEvent:
+    """A scroll event has no domain type; its values are checked where a line is parsed."""
+
+    def test_valid(self):
+        assert list(parse_events(event_line(1000, 250.0, 2000.0))) == [
+            Event("s1", "p1", 1000, 250.0, 2000.0, "scroll")
+        ]
+
+    def test_negative_ts_rejected(self):
+        with pytest.raises(MalformedEvent) as exc:
+            parse_events(event_line(-5))
+        assert (exc.value.line_number, exc.value.reason) == (1, "ts_ms must be in [0, 2**63), got -5")
+
+    def test_scroll_beyond_page_height_rejected(self):
+        with pytest.raises(MalformedEvent) as exc:
+            parse_events(event_line(0, 2001.0, 2000.0))
+        assert (exc.value.line_number, exc.value.reason) == (1, "scroll_y 2001.0 exceeds page_height 2000.0")
 
 
 class TestQuizAttempt:
