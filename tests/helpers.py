@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 from typing import NamedTuple
 
-from srltrace.ingest import build_store
+from srltrace.ingest import _parse_line, build_store, events_to_columns
 from srltrace.trace_model import QuizAttempt, SessionizerConfig
 
 # Pass/fail checklist lines collected by the acceptance tests and echoed in
@@ -134,6 +134,11 @@ def naive_normalize(events):
             continue
         out.append(ev)
     return out
+
+
+def parse_events_per_line(stream):
+    """The columns of an event stream parsed one line at a time: the reference for the chunked `parse_events`."""
+    return events_to_columns(_parse_line(n, line) for n, line in enumerate(stream, start=1) if line.strip())
 
 
 def random_trace(rng: random.Random, n_events: int, student_id: str = "s1"):

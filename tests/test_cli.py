@@ -103,6 +103,19 @@ class TestExitCodes:
         assert str(bad) in err
         assert "line 1" in err
 
+    def test_loose_number_in_attempts_names_file_and_line(self, tmp_path, capsys):
+        events = tmp_path / "events.jsonl"
+        events.write_text("")
+        attempts = tmp_path / "attempts.csv"
+        attempts.write_text("student_id,quiz_id,attempt_index,start_ts_ms,end_ts_ms,score,max_score\n"
+                            "s1,q1,1,0,1,7_0,100\n")
+        code = run(["ingest", "--events", str(events), "--attempts", str(attempts),
+                    "--out", str(tmp_path / "store")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert str(attempts) in err and "line 2" in err
+        assert not (tmp_path / "store").exists()
+
     def test_missing_input_file_is_data_error(self, tmp_path):
         code = run(["ingest", "--events", str(tmp_path / "nope.jsonl"),
                     "--attempts", str(tmp_path / "nope.csv"), "--out", str(tmp_path / "s")])

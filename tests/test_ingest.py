@@ -4,12 +4,13 @@ import hashlib
 import io
 import json
 import random
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from helpers import Event, naive_normalize, random_store_inputs
+from helpers import Event, naive_normalize, parse_events_per_line, random_store_inputs
 from srltrace import ingest
 from srltrace.ingest import (
     ATTEMPTS_HEADER,
@@ -17,7 +18,6 @@ from srltrace.ingest import (
     MalformedAttempt,
     MalformedEvent,
     build_store,
-    event_to_json_line,
     events_to_columns,
     load_store,
     normalize_events,
@@ -102,22 +102,139 @@ class TestParseEvents:
             parse_events(stream)
         assert exc.value.line_number == 2
 
+    def test_parse_holds_at_most_one_chunk_of_lines(self):
+        def lines():
+            yield VALID_LINE
+            yield "{not json"
+            for _ in range(2 * ingest.CHUNK_LINES - 2):
+                yield VALID_LINE
+            pytest.fail("parse_events read past two chunks of lines")
 
-NUMBERS = st.one_of(
-    st.floats(), st.integers(min_value=-(2**70), max_value=2**70), st.booleans(),
-    st.floats(allow_nan=False).map(np.float64),
-)
+        with pytest.raises(MalformedEvent) as exc:
+            parse_events(lines())
+        assert exc.value.line_number == 2
+
+
+def _parse_outcome(parse, text):
+    """What a parser makes of `text`: the error's line and reason, or the columns' bytes and tables."""
+    try:
+        cols = parse(io.StringIO(text))
+    except MalformedEvent as exc:
+        return "error", exc.line_number, exc.reason
+    return "ok", cols.students, cols.objects, [
+        (getattr(cols, name).dtype.str, getattr(cols, name).tobytes()) for name in ingest._COLUMN_DTYPES
+    ]
+
+
+# JSON tokens per field: values `_parse_line` accepts, and values it rejects.
+_FLOAT_MAX_PLUS_ONE = str(int(sys.float_info.max) + 1)  # rejected, though float64 rounds it to the maximum
+_GOOD_NUMBERS = ["0", "0.0", "-0.0", "3", "12.5", "5e-324", "1e-05", "1e16", repr(sys.float_info.max)]
+_BAD_NUMBERS = ["-1", "-0.5", "NaN", "Infinity", "-Infinity", "1e400", "-1e400", _FLOAT_MAX_PLUS_ONE,
+                "true", "false", "null", '"3"', "[]", "{}"]
+_TOKENS = {
+    "student_id": (['"s1"', '"s2"', '"s10"', '"p\\u00e9"', '"\\ud800"', '""'], ["1", "null", '["s1"]', "true", "{}"]),
+    "object_id": (['"p1"', '"p2"', '"a\\"b\\\\c"'], ["2", "null", "[]", "false"]),
+    "ts_ms": (["0", "7", "1000", str(2**63 - 1)], ["-1", str(2**63), "true", "false", "1.0", "null", '"5"', "1e3"]),
+    "scroll_y": (_GOOD_NUMBERS, _BAD_NUMBERS),
+    "page_height": (["900", "12.5", "1e16", repr(sys.float_info.max)], _BAD_NUMBERS + ["0", "-0.0", "2"]),
+    "event": (['"scroll"', '"pageload"'], ['"click"', '"Scroll"', "[]", "{}", '["scroll"]', "null", "1"]),
+}
+
+
+@st.composite
+def _object_line(draw, bad: bool):
+    """An event object as text, fields in any order and the optional ones sometimes absent.
+
+    A bad line has one field changed: absent, of a rejected value, repeated with
+    another value (the last one counts), or beside an unknown field.
+    """
+    pairs = [(key, draw(st.sampled_from(good))) for key, (good, _) in _TOKENS.items()]
+    pairs = [pair for pair in pairs if pair[0] not in ("page_height", "event") or draw(st.booleans())]
+    if bad:
+        i = draw(st.integers(0, len(pairs) - 1))
+        key, (good, rejected) = pairs[i][0], _TOKENS[pairs[i][0]]
+        change = draw(st.sampled_from(["value", "value", "absent", "repeat", "extra"]))
+        if change == "value":
+            pairs[i] = (key, draw(st.sampled_from(rejected)))
+        elif change == "absent":
+            del pairs[i]
+        elif change == "repeat":
+            pairs.append((key, draw(st.sampled_from(good + rejected))))
+        else:
+            pairs.append(("extra", '[1, {"x": NaN}]'))
+    return "{" + ",".join(f'"{key}":{token}' for key, token in draw(st.permutations(pairs))) + "}"
+
+
+@st.composite
+def _event_file(draw):
+    """Event lines, mostly good; a padding of good lines puts the rest at or near the chunk boundary."""
+    lines = [VALID_LINE] * draw(st.sampled_from([0, 0, ingest.CHUNK_LINES - 2, ingest.CHUNK_LINES - 1]))
+    for _ in range(draw(st.integers(0, 8))):
+        shape = draw(st.integers(0, 19))
+        if shape < 11:
+            lines.append(draw(_object_line(bad=False)))
+        elif shape < 16:
+            lines.append(draw(_object_line(bad=True)))
+        elif shape == 16:
+            lines.append(draw(st.sampled_from(["", " ", "\t", "\u3000"])))  # blank, yet counted
+        elif shape == 17:
+            lines.append(draw(st.sampled_from(["[]", "1", '"s1"', "null", "[{}]"])))
+        elif shape == 18:
+            sep = draw(st.sampled_from(["", ",", " "]))
+            lines.append(draw(_object_line(bad=False)) + sep + draw(_object_line(bad=False)))
+        else:
+            line = draw(_object_line(bad=False))
+            cut = draw(st.integers(1, len(line) - 1))
+            lines += [line[:cut], line[cut:]]
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
+
+
+_SPLIT_ACROSS_ELEMENTS = "\n".join([
+    '{"student_id":"s","object_id":"o","ts_ms":1,"scroll_y":0.0,"x":[{}',
+    "{}]}",
+    VALID_LINE + "," + VALID_LINE,
+])
 
 
 @settings(max_examples=300, deadline=None)
-@given(ids=st.tuples(st.text(), st.text()), ts=NUMBERS, y=NUMBERS, height=st.one_of(st.none(), NUMBERS),
-       kind=st.sampled_from(["scroll", "pageload"]))
-def test_event_json_line_is_json_dumps(ids, ts, y, height, kind):
-    obj = {"student_id": ids[0], "object_id": ids[1], "ts_ms": ts, "scroll_y": y}
-    if height is not None:
-        obj["page_height"] = height
-    obj["event"] = kind
-    assert event_to_json_line(*ids, ts, y, height, kind) == json.dumps(obj, separators=(",", ":"))
+@given(text=_event_file())
+@example(text=_SPLIT_ACROSS_ELEMENTS)
+@example(text="\n".join([VALID_LINE] * (ingest.CHUNK_LINES - 1) + ['{"student_id":"s1"}', "", VALID_LINE]))
+@example(text=VALID_LINE + "\n" + VALID_LINE.replace("1000", "-1"))
+@example(text=VALID_LINE.replace("1000", str(2**63)))
+@example(text=VALID_LINE.replace('"scroll_y":0', f'"scroll_y":{_FLOAT_MAX_PLUS_ONE}'))
+@example(text=VALID_LINE.replace('"scroll_y":0', f'"scroll_y":{sys.float_info.max!r}'))
+@example(text=VALID_LINE.replace('"scroll_y":0', '"scroll_y":0,"page_height":null'))
+@example(text=VALID_LINE + "\n" + VALID_LINE.replace('"event":"scroll"', '"event":"click"'))
+@example(text=VALID_LINE.replace('"event":"scroll"', '"event":["scroll"]'))
+@example(text=VALID_LINE + "\n" + VALID_LINE.replace('"scroll_y":0', '"scroll_y":1,"page_height":NaN'))
+def test_chunked_parse_matches_the_per_line_parse(text):
+    assert _parse_outcome(parse_events, text) == _parse_outcome(parse_events_per_line, text)
+
+
+@pytest.fixture(scope="module")
+def out_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("written")
+
+
+_ID_TEXT = st.text(st.characters() | st.sampled_from(["\x00", "\ud800", "\udfff", '"', "\\", "é", "\U0001f600"]))
+_FINITE = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from([-0.0, 5e-324, 2.2e-308, 1e16, 1e-05])
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=st.lists(st.tuples(_ID_TEXT, _ID_TEXT, st.integers(-(2**63), 2**63 - 1), _FINITE,
+                               st.none() | _FINITE, st.sampled_from(["scroll", "pageload"])), max_size=6))
+def test_event_json_line_is_json_dumps(out_dir, rows):
+    expected = []
+    for sid, oid, ts, y, height, kind in rows:
+        obj = {"student_id": sid, "object_id": oid, "ts_ms": ts, "scroll_y": y}
+        if height is not None:
+            obj["page_height"] = height
+        obj["event"] = kind
+        expected.append(json.dumps(obj, separators=(",", ":")) + "\n")
+    write_trace_files(out_dir, rows, [])
+    with open(out_dir / "events.jsonl", encoding="utf-8", newline="") as fh:
+        assert fh.read() == "".join(expected)
 
 
 class TestParseAttempts:
@@ -150,6 +267,30 @@ class TestParseAttempts:
         text = ATTEMPTS_HEADER + "\ns1,q1,1,0,1\n"
         with pytest.raises(MalformedAttempt):
             parse_attempts(io.StringIO(text))
+
+    @pytest.mark.parametrize("fields, name", [
+        ("1_0,0,1,70,100", "attempt_index"),
+        ("\u0661,0,1,70,100", "attempt_index"),
+        (" 1 ,0,1,70,100", "attempt_index"),
+        ("1,0_0,1,70,100", "start_ts_ms"),
+        ("1,0,+1,70,100", "end_ts_ms"),
+        ("1,0,1,7_0,100", "score"),
+        ("1,0,1,70,.5e3", "max_score"),
+        ("1,0,1,70, 100", "max_score"),
+    ], ids=["underscore-index", "arabic-indic-index", "spaced-index", "underscore-start", "plus-end",
+            "underscore-score", "bare-fraction-max", "spaced-max"])
+    def test_loose_number_reports_line(self, fields, name):
+        text = ATTEMPTS_HEADER + f"\ns1,q1,1,0,1,70,100\ns1,q2,{fields}\n"
+        with pytest.raises(MalformedAttempt) as exc:
+            parse_attempts(io.StringIO(text))
+        assert exc.value.line_number == 3
+        assert repr(name) in exc.value.reason
+
+    @pytest.mark.parametrize("score, max_score", [("70", "100"), ("-0", "1E2"), ("0.5", "1e+2"), ("7e-1", "100.0")])
+    def test_json_numbers_accepted(self, score, max_score):
+        text = ATTEMPTS_HEADER + f"\ns1,q1,007,-0,1,{score},{max_score}\n"
+        [att] = parse_attempts(io.StringIO(text))
+        assert (att.attempt_index, att.start_ts_ms, att.score, att.max_score) == (7, 0, float(score), 100.0)
 
     @pytest.mark.parametrize("fields", ["5,9,70,nan", "5,9,nan,100", "5,9,70,inf", "5,9,1e400,1e400",
                                         f"5,{10**400},70,100"],
