@@ -95,6 +95,8 @@ def _parse_line(line_number: int, line: str) -> tuple:
         obj = json.loads(line)
     except json.JSONDecodeError as exc:
         raise MalformedEvent(line_number, f"invalid JSON: {exc.msg}") from exc
+    except RecursionError:
+        raise MalformedEvent(line_number, "invalid JSON: nested too deeply") from None
     if not isinstance(obj, dict):
         raise MalformedEvent(line_number, "line is not a JSON object")
     student_id = obj.get("student_id")
@@ -221,8 +223,6 @@ class EventColumns:
 
     `student_code` and `object_code` index the sorted `students` and `objects`
     tables; `page_height` is NaN where an event has none. Slicing gives views.
-    Iterating yields the events as rows (student_id, object_id, ts_ms,
-    scroll_y, page_height, kind), the shape `events_to_columns` takes.
     """
 
     ts_ms: np.ndarray
@@ -239,20 +239,6 @@ class EventColumns:
 
     def __getitem__(self, rows: slice | np.ndarray) -> "EventColumns":
         return EventColumns(*(getattr(self, c)[rows] for c in _COLUMN_DTYPES), self.students, self.objects)
-
-    def __iter__(self) -> Iterator[tuple]:
-        # A chunk at a time, so few Python objects are held at once.
-        students, objects = self.students, self.objects
-        for lo in range(0, len(self), CHUNK_LINES):
-            part = self[lo:lo + CHUNK_LINES]
-            yield from zip(
-                [students[c] for c in part.student_code.tolist()],
-                [objects[c] for c in part.object_code.tolist()],
-                part.ts_ms.tolist(),
-                part.scroll_y.tolist(),
-                [None if math.isnan(h) else h for h in part.page_height.tolist()],
-                ["pageload" if p else "scroll" for p in part.pageload.tolist()],
-            )
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, EventColumns):

@@ -21,6 +21,7 @@ from .ingest import TraceStore
 from .trace_model import DataError, GbdtParams, InvalidConfig, PipelineConfig, first_repeat, is_finite_number
 
 MODEL_FORMAT_VERSION = 1
+BLOCK_VALUES = 1 << 15  # per presorted block of the split search (256 KiB of int64 rows): bounds its scratch arrays
 
 
 class ArityMismatch(DataError):
@@ -103,27 +104,29 @@ def _logloss(y: np.ndarray, p: np.ndarray) -> float:
 
 
 def _best_split(
-    cols: np.ndarray, g: np.ndarray, h: np.ndarray, sorted_rows: list[np.ndarray], params: GbdtParams
+    g: np.ndarray, h: np.ndarray, blocks: list[tuple[int, np.ndarray, np.ndarray]], params: GbdtParams
 ) -> tuple[float, int, float] | None:
     """Best (gain, feature_index, threshold) at this node, or None.
 
-    `sorted_rows[j]` lists the node's rows in ascending (feature j, row)
-    order, the order a stable argsort of the node's column gives, so the
-    cumulative g/h sums are reproducible candidate by candidate.
+    A block `(j0, rows, vals)` covers features j0, j0 + 1, ...: row f of `rows`
+    lists the node's rows in ascending (feature j0 + f, row) order, the order a
+    stable argsort gives, and row f of `vals` their values, so each cumulative
+    g/h sum is the same fold as a search one feature at a time.
     """
     lam = params.lambda_l2
     best: tuple[float, int, float] | None = None
-    for j, rows in enumerate(sorted_rows):
-        v = cols[j][rows]
-        cg = np.cumsum(g[rows])
-        ch = np.cumsum(h[rows])
-        total_g = cg[-1]
-        total_h = ch[-1]
-        boundaries = np.nonzero(v[:-1] < v[1:])[0]
-        if len(boundaries) == 0:
+    for j0, rows, vals in blocks:
+        at = np.flatnonzero(vals[:, :-1] < vals[:, 1:])  # every value boundary, in (feature, position) order
+        if len(at) == 0:
             continue
-        gl = cg[boundaries]
-        hl = ch[boundaries]
+        f = at // (rows.shape[1] - 1)
+        at += f  # now a flat index into the block
+        cg = g.take(rows).cumsum(axis=1)
+        ch = h.take(rows).cumsum(axis=1)
+        total_g = cg[:, -1].take(f)
+        total_h = ch[:, -1].take(f)
+        gl = cg.take(at)
+        hl = ch.take(at)
         gr = total_g - gl
         hr = total_h - hl
         gains = 0.5 * (
@@ -136,12 +139,16 @@ def _best_split(
             gains,
             -np.inf,
         )
-        k = int(np.argmax(gains))  # first max -> lowest threshold on ties
-        if not np.isfinite(gains[k]):
-            continue
-        if best is None or gains[k] > best[0]:  # strict -> lowest feature index wins
-            thr = (v[boundaries[k]] + v[boundaries[k] + 1]) / 2.0
-            best = (float(gains[k]), j, float(thr))
+        k = int(np.argmax(gains))  # first max -> lowest feature, then lowest threshold, on ties
+        if not gains[k] < np.inf:
+            # NaN or +inf (a zero hessian with lambda_l2 = 0): that feature offers no split.
+            for i in range(len(vals)):
+                if not gains[f == i].max(initial=0.0) < np.inf:
+                    gains[f == i] = -np.inf
+            k = int(np.argmax(gains))
+        if best is None or gains[k] > best[0]:  # strict -> lowest feature wins; a gain of -inf makes a leaf
+            thr = (vals.item(at[k]) + vals.item(at[k] + 1)) / 2.0
+            best = (float(gains[k]), j0 + int(f[k]), thr)
     return best
 
 
@@ -151,11 +158,11 @@ def _leaf_value(g_sum: float, h_sum: float, params: GbdtParams) -> float:
 
 def _build_node(
     cols: np.ndarray, g: np.ndarray, h: np.ndarray, idx: np.ndarray,
-    sorted_rows: list[np.ndarray], depth: int, params: GbdtParams,
+    blocks: list[tuple[int, np.ndarray, np.ndarray]], depth: int, params: GbdtParams,
 ) -> TreeNode:
-    """Grow the subtree over rows `idx` (ascending); see `_best_split` for `sorted_rows`."""
+    """Grow the subtree over rows `idx` (ascending); see `_best_split` for `blocks`."""
     if depth < params.max_depth and len(idx) >= 2:
-        best = _best_split(cols, g, h, sorted_rows, params)
+        best = _best_split(g, h, blocks, params)
     else:
         best = None
     if best is None or best[0] <= 0.0:
@@ -164,10 +171,13 @@ def _build_node(
     goes_left = cols[j] < thr
     children = []
     for side in (goes_left, ~goes_left):
-        # compress keeps order, so the child's lists stay sorted; a child at
-        # max_depth is a leaf and needs only its rows.
-        child_sorted = [rows.compress(side[rows]) for rows in sorted_rows] if depth + 1 < params.max_depth else []
-        children.append(_build_node(cols, g, h, idx.compress(side[idx]), child_sorted, depth + 1, params))
+        # compress keeps order and every row of a block holds the same rows, so the
+        # child's blocks stay sorted; a child at max_depth is a leaf and needs only its rows.
+        child_blocks = []
+        for j0, rows, vals in blocks if depth + 1 < params.max_depth else []:
+            keep = side.take(rows).ravel()
+            child_blocks.append((j0, *(a.compress(keep).reshape(len(rows), -1) for a in (rows, vals))))
+        children.append(_build_node(cols, g, h, idx.compress(side[idx]), child_blocks, depth + 1, params))
     left, right = children
     return TreeNode(feature_index=j, threshold=thr, left=left, right=right, gain=gain)
 
@@ -232,9 +242,12 @@ def fit(dataset: Dataset, params: GbdtParams) -> GbdtModel:
     losses = [_logloss(y, _sigmoid(logits))]
     trees: list[TreeNode] = []
     all_rows = np.arange(len(y))
-    # Sort each column once; _build_node partitions these lists down the tree.
+    # Sort each column once; _build_node partitions these blocks down the tree.
     cols = np.ascontiguousarray(X.T)
-    presorted = [np.argsort(col, kind="stable") for col in cols]
+    order = np.argsort(cols, axis=1, kind="stable")
+    values = np.take_along_axis(cols, order, axis=1)
+    width = max(1, BLOCK_VALUES // len(y))
+    presorted = [(j0, order[j0:j0 + width], values[j0:j0 + width]) for j0 in range(0, len(cols), width)]
     for _ in range(params.n_rounds):
         p = _sigmoid(logits)
         g = p - y

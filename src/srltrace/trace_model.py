@@ -24,7 +24,10 @@ class InvalidConfig(ValueError):
 
 @contextmanager
 def in_file(path):
-    """Name `path` in any value error raised in the block, which becomes a DataError."""
+    """Name `path` in any value error raised in the block, which becomes a DataError.
+
+    So does a RecursionError, which `json` raises on input nested too deeply.
+    """
     try:
         yield
     except DataError as exc:
@@ -32,6 +35,8 @@ def in_file(path):
         raise
     except ValueError as exc:
         raise DataError(f"{path}: {exc}") from exc
+    except RecursionError:
+        raise DataError(f"{path}: nested too deeply to read") from None
 
 
 _FLOAT_MAX = sys.float_info.max

@@ -7,9 +7,13 @@ path; it is the oracle the production implementation is checked against.
 
 from __future__ import annotations
 
+import math
 import random
 from typing import NamedTuple
 
+import numpy as np
+
+from srltrace import learner
 from srltrace.ingest import _parse_line, build_store, events_to_columns
 from srltrace.trace_model import QuizAttempt, SessionizerConfig
 
@@ -139,6 +143,107 @@ def naive_normalize(events):
 def parse_events_per_line(stream):
     """The columns of an event stream parsed one line at a time: the reference for the chunked `parse_events`."""
     return events_to_columns(_parse_line(n, line) for n, line in enumerate(stream, start=1) if line.strip())
+
+
+def event_rows(columns):
+    """An `EventColumns` as a list of rows (student_id, object_id, ts_ms, scroll_y, page_height, kind)."""
+    return list(zip(
+        [columns.students[c] for c in columns.student_code.tolist()],
+        [columns.objects[c] for c in columns.object_code.tolist()],
+        columns.ts_ms.tolist(),
+        columns.scroll_y.tolist(),
+        [None if math.isnan(h) else h for h in columns.page_height.tolist()],
+        ["pageload" if p else "scroll" for p in columns.pageload.tolist()],
+    ))
+
+
+def _best_split_per_feature(cols, g, h, sorted_rows, params):
+    """Best (gain, feature_index, threshold) at a node, one feature at a time.
+
+    `sorted_rows[j]` lists the node's rows in ascending (feature j, row) order.
+    A feature whose first maximum gain is not finite offers no split.
+    """
+    lam = params.lambda_l2
+    best = None
+    for j, rows in enumerate(sorted_rows):
+        v = cols[j][rows]
+        cg = np.cumsum(g[rows])
+        ch = np.cumsum(h[rows])
+        total_g = cg[-1]
+        total_h = ch[-1]
+        boundaries = np.nonzero(v[:-1] < v[1:])[0]
+        if len(boundaries) == 0:
+            continue
+        gl = cg[boundaries]
+        hl = ch[boundaries]
+        gr = total_g - gl
+        hr = total_h - hl
+        gains = 0.5 * (
+            gl * gl / (hl + lam)
+            + gr * gr / (hr + lam)
+            - total_g * total_g / (total_h + lam)
+        )
+        gains = np.where(
+            (hl >= params.min_child_weight) & (hr >= params.min_child_weight),
+            gains,
+            -np.inf,
+        )
+        k = int(np.argmax(gains))  # first max -> lowest threshold on ties
+        if not np.isfinite(gains[k]):
+            continue
+        if best is None or gains[k] > best[0]:  # strict -> lowest feature index wins
+            thr = (v[boundaries[k]] + v[boundaries[k] + 1]) / 2.0
+            best = (float(gains[k]), j, float(thr))
+    return best
+
+
+def _build_node_per_feature(cols, g, h, idx, sorted_rows, depth, params):
+    if depth < params.max_depth and len(idx) >= 2:
+        best = _best_split_per_feature(cols, g, h, sorted_rows, params)
+    else:
+        best = None
+    if best is None or best[0] <= 0.0:
+        return learner.TreeNode(
+            value=learner._leaf_value(float(np.sum(g[idx])), float(np.sum(h[idx])), params)
+        )
+    gain, j, thr = best
+    goes_left = cols[j] < thr
+    children = []
+    for side in (goes_left, ~goes_left):
+        child_sorted = [rows.compress(side[rows]) for rows in sorted_rows] if depth + 1 < params.max_depth else []
+        children.append(
+            _build_node_per_feature(cols, g, h, idx.compress(side[idx]), child_sorted, depth + 1, params)
+        )
+    left, right = children
+    return learner.TreeNode(feature_index=j, threshold=thr, left=left, right=right, gain=gain)
+
+
+def fit_per_feature(dataset, params):
+    """`learner.fit` with one presorted row list per feature, searched one feature at a time.
+
+    The reference for the block split search of `learner.fit`: the models and
+    training losses must be equal.
+    """
+    X, y = learner._checked_arrays(dataset)
+    p0 = min(max(float(np.mean(y)), 1e-6), 1.0 - 1e-6)
+    base = math.log(p0 / (1.0 - p0))
+    logits = np.full(len(y), base)
+    losses = [learner._logloss(y, learner._sigmoid(logits))]
+    trees = []
+    cols = np.ascontiguousarray(X.T)
+    presorted = [np.argsort(col, kind="stable") for col in cols]
+    for _ in range(params.n_rounds):
+        p = learner._sigmoid(logits)
+        g = p - y
+        h = p * (1.0 - p)
+        root = _build_node_per_feature(cols, g, h, np.arange(len(y)), presorted, 0, params)
+        trees.append(root)
+        logits = logits + learner._tree_values(root, X)
+        loss = learner._logloss(y, learner._sigmoid(logits))
+        if loss > losses[-1] + 1e-12:
+            raise RuntimeError(f"training loss increased: {losses[-1]} -> {loss}")
+        losses.append(loss)
+    return learner.GbdtModel(base, trees, tuple(dataset.feature_names), params, losses)
 
 
 def random_trace(rng: random.Random, n_events: int, student_id: str = "s1"):

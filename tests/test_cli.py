@@ -248,6 +248,23 @@ class TestExitCodes:
         assert f"({key[0]!r}, {key[1]!r}, {key[2]})" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("nested", ["events", "model", "config"])
+    def test_deeply_nested_json_is_data_error(self, trained, tmp_path, capsys, nested):
+        feats, model = trained
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 200_000 + "\n")
+        attempts = tmp_path / "attempts.csv"
+        attempts.write_text("student_id,quiz_id,attempt_index,start_ts_ms,end_ts_ms,score,max_score\n")
+        argv = {
+            "events": ["ingest", "--events", str(deep), "--attempts", str(attempts), "--out", str(tmp_path / "s")],
+            "model": ["evaluate", "--model", str(deep), "--features", str(feats), "--report", str(tmp_path / "r")],
+            "config": ["--config", str(deep), "train", "--features", str(feats), "--model", str(tmp_path / "m")],
+        }[nested]
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert str(deep) in err and "nested too deeply" in err
+        assert ("line 1" in err) == (nested == "events")
+
     @pytest.mark.parametrize("corrupt, message", [
         ("feature_index_99", "out of range"),
         ("unknown_param", "params"),

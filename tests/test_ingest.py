@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from helpers import Event, naive_normalize, parse_events_per_line, random_store_inputs
+from helpers import Event, event_rows, naive_normalize, parse_events_per_line, random_store_inputs
 from srltrace import ingest
 from srltrace.ingest import (
     ATTEMPTS_HEADER,
@@ -35,11 +35,11 @@ VALID_LINE = '{"student_id":"s1","object_id":"p1","ts_ms":1000,"scroll_y":0,"eve
 class TestParseEvents:
     def test_direct_field_mapping(self):
         events = parse_events(io.StringIO(VALID_LINE))
-        assert list(events) == [Event("s1", "p1", 1000, 0.0, None, "scroll")]
-        assert list(events)[0][4] is None
+        assert event_rows(events) == [Event("s1", "p1", 1000, 0.0, None, "scroll")]
+        assert event_rows(events)[0][4] is None
 
     def test_empty_stream(self):
-        assert list(parse_events(io.StringIO(""))) == []
+        assert event_rows(parse_events(io.StringIO(""))) == []
 
     def test_blank_lines_skipped(self):
         assert len(parse_events(io.StringIO(f"\n{VALID_LINE}\n\n"))) == 1
@@ -311,7 +311,7 @@ def _att(idx, start, end=None, sid="s1", qid="q1", score=70.0):
 
 
 def _normalized(events):
-    return list(normalize_events(events_to_columns(events)))
+    return event_rows(normalize_events(events_to_columns(events)))
 
 
 class TestNormalizeEvents:
@@ -351,7 +351,7 @@ class TestNormalizeEvents:
         once = normalize_events(events_to_columns(events))
         assert normalize_events(once) == once
         assert len(once) <= len(events)
-        assert set(once) == set(map(tuple, events))
+        assert set(event_rows(once)) == set(map(tuple, events))
 
 
 @st.composite

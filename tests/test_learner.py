@@ -1,13 +1,16 @@
 """Boosted-tree learner: fit fixtures, numeric oracles, splits, metrics, I/O."""
 
+import json
 import math
 import random
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from helpers import random_store_inputs
+from helpers import fit_per_feature, random_store_inputs
 from srltrace import learner
 from srltrace.features import BASELINE_FEATURES, SRL_FEATURES, Dataset
 from srltrace.ingest import build_store
@@ -260,6 +263,105 @@ class TestSplitOracle:
         ds = make_ds(np.column_stack([x, x]), x)
         model = fit(ds, GbdtParams(n_rounds=1))
         assert model.trees[0].feature_index == 0
+
+
+# Labels separated by column 0, which shares a block of two with column 1: after enough
+# rounds column 0's gains are NaN while column 1's stay finite.
+_X_NAN_BESIDE_FINITE = np.zeros((26, 3))
+_X_NAN_BESIDE_FINITE[25, 0] = _X_NAN_BESIDE_FINITE[24, 1] = 1.0
+_NO_SHRINKAGE = dict(learning_rate=1.0, lambda_l2=0.0, min_child_weight=0.0)
+
+
+def _fit_outcome(fit_fn, X, y, params):
+    """A fit's model file and training losses as text (NaN included), or its error."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        try:
+            model = fit_fn(make_ds(X, y), params)
+        except RuntimeError as exc:
+            return str(exc)
+    return json.dumps(model_to_dict(model)), repr(model.train_losses)
+
+
+def check_block_search(X, y, params, block_values):
+    """`fit` with blocks of `block_values` values gives what the per-feature reference gives."""
+    with mock.patch.object(learner, "BLOCK_VALUES", block_values):
+        got = _fit_outcome(fit, X, y, params)
+    assert got == _fit_outcome(fit_per_feature, X, y, params)
+
+
+@st.composite
+def _columns(draw, n: int, n_cols: int):
+    """Columns of n values: few distinct (heavy ties), one value, a repeat of an earlier column, or spread out."""
+    columns = []
+    for _ in range(n_cols):
+        kind = draw(st.sampled_from(["ties", "constant", "repeat", "spread"]))
+        if kind == "repeat" and columns:
+            columns.append(columns[draw(st.integers(0, len(columns) - 1))])
+        elif kind == "constant":
+            columns.append([draw(st.sampled_from([0.0, 2.5]))] * n)
+        else:
+            value = st.sampled_from([0.0, 1.0, 2.0]) if kind == "ties" else st.integers(-60, 60).map(lambda v: v / 4)
+            columns.append(draw(st.lists(value, min_size=n, max_size=n)))
+    return np.array(columns, dtype=float).T
+
+
+@st.composite
+def _fit_cases(draw):
+    """(X, y, params, BLOCK_VALUES): any shape from 2 rows and 1 feature up, depths 1-5, blocks of any width."""
+    n = draw(st.integers(2, 40))
+    X = draw(_columns(n, draw(st.integers(1, 6))))
+    y = draw(st.lists(st.sampled_from([0.0, 1.0]), min_size=n, max_size=n))
+    params = GbdtParams(
+        n_rounds=draw(st.integers(1, 6)),
+        max_depth=draw(st.integers(1, 5)),
+        learning_rate=draw(st.sampled_from([0.1, 0.5, 1.0])),
+        lambda_l2=draw(st.sampled_from([0.0, 1.0])),
+        min_child_weight=draw(st.sampled_from([0.0, 0.1, 1.0])),
+    )
+    return X, y, params, draw(st.sampled_from([1, 2 * n, 3 * n, learner.BLOCK_VALUES]))
+
+
+@st.composite
+def _separable_cases(draw):
+    """Labels that one column separates, fit with no shrinkage and no regularization, so
+    hessians reach exactly 0 and split gains turn NaN or infinite."""
+    n = draw(st.integers(4, 30))
+    X = draw(_columns(n, draw(st.integers(1, 4))))
+    x = X[:, draw(st.integers(0, X.shape[1] - 1))]
+    y = (x > np.median(x)).astype(float)
+    params = GbdtParams(n_rounds=draw(st.integers(40, 90)), max_depth=draw(st.integers(1, 5)), **_NO_SHRINKAGE)
+    return X, y, params, draw(st.sampled_from([1, 2 * n, learner.BLOCK_VALUES]))
+
+
+class TestBlockSearch:
+    """`fit` searches splits a block of features at a time; `helpers.fit_per_feature`,
+    one feature at a time, is the reference, and the models must be equal to the bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=_fit_cases())
+    @example(case=(np.array([[1.0], [2.0]]), [0.0, 1.0], GbdtParams(n_rounds=2, max_depth=1), 1 << 15))
+    @example(case=(np.array([[1.0, 1.0], [1.0, 1.0], [0.0, 0.0]]), [0.0, 1.0, 1.0], GbdtParams(n_rounds=2), 1))
+    def test_equals_per_feature_search(self, case):
+        check_block_search(*case)
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=_separable_cases())
+    @example(case=(np.array([[0.0], [0.0], [0.0], [1.0]]), [0.0, 0.0, 0.0, 1.0],
+                   GbdtParams(n_rounds=40, max_depth=1, **_NO_SHRINKAGE), 1))
+    @example(case=(_X_NAN_BESIDE_FINITE, _X_NAN_BESIDE_FINITE[:, 0],
+                   GbdtParams(n_rounds=44, max_depth=1, **_NO_SHRINKAGE), 52))
+    def test_non_finite_gains_skip_the_feature_as_per_feature_search_does(self, case):
+        check_block_search(*case)
+
+    def test_wide_dataset_spans_several_blocks(self):
+        rng = np.random.default_rng(12)
+        n, n_cols = 2400, 16
+        assert learner.BLOCK_VALUES // n < n_cols  # the root is at least two blocks
+        X = rng.integers(0, 40, size=(n, n_cols)).astype(float)
+        X[:, 5] = X[:, 2]
+        y = (rng.uniform(size=n) < 0.2 + 0.015 * X[:, 3]).astype(float)
+        params = GbdtParams(n_rounds=5, max_depth=4)
+        check_block_search(X, y, params, learner.BLOCK_VALUES)
 
 
 class TestPredict:

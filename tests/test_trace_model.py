@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from helpers import Event
+from helpers import Event, event_rows
 from srltrace.ingest import MalformedEvent, parse_events
 from srltrace.trace_model import QuizAttempt, ReadingSession, SessionizerConfig
 
@@ -21,7 +21,7 @@ class TestScrollEvent:
     """A scroll event has no domain type; its values are checked where a line is parsed."""
 
     def test_valid(self):
-        assert list(parse_events(event_line(1000, 250.0, 2000.0))) == [
+        assert event_rows(parse_events(event_line(1000, 250.0, 2000.0))) == [
             Event("s1", "p1", 1000, 250.0, 2000.0, "scroll")
         ]
 
