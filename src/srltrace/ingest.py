@@ -29,6 +29,8 @@ _PAGELOAD = {kind: kind == "pageload" for kind in EVENT_KINDS}
 _KIND_JSON = ('"scroll"', '"pageload"')  # indexed by the pageload flag
 _NUMBER_TYPES = {int, float}
 _NO_HEIGHT = object()  # what `_checked_chunk` reads from a line without a page_height
+_JSON_SPACE = " \t\r\n"  # the whitespace json.loads skips around a value; str.strip() skips more
+_scan_once = json.JSONDecoder().scan_once  # the C scanner json.loads calls, without its two Python frames
 _FLOAT_MAX = sys.float_info.max
 # Event lines are parsed, and event rows coded and written, this many at a time. The
 # memory a chunk's Python objects took stays resident: the `ingest` stage's peak RSS
@@ -128,18 +130,25 @@ def _parse_line(line_number: int, line: str) -> tuple:
 def _checked_chunk(lines: list[str]) -> tuple | None:
     """A chunk of event lines as one chunk for `_columns`, or None if any line may be malformed.
 
-    Each line is decoded alone, then `_parse_line`'s checks run over the chunk's columns.
-    They are stricter only at a number of exactly the float maximum, which costs the
+    Each line is decoded alone, as `json.loads` decodes a line that starts with its value,
+    then `_parse_line`'s checks run over the chunk's columns. They are stricter only at
+    leading whitespace and at a number of exactly the float maximum, which cost the
     per-line pass and nothing else.
     """
     try:
-        # The fields of each line as it is decoded, so one line's dict is held at a time.
+        # The fields of each line as it is decoded, so one line's dict is held at a time. A list
+        # comprehension, not `map`: there the scanner's StopIteration would end the chunk early.
         rows = [
             (obj.get("student_id"), obj.get("object_id"), obj.get("ts_ms"), obj.get("scroll_y"),
              obj.get("page_height", _NO_HEIGHT), _PAGELOAD.get(obj.get("event", "scroll")))
-            for obj in map(json.loads, lines)
+            for line in lines
+            for obj, end in (_scan_once(line, 0),)
+            if not line[end:].strip(_JSON_SPACE)
         ]
-    except (ValueError, RecursionError, AttributeError, TypeError):  # not JSON, not an object, unhashable kind
+    # No value at column 0, not JSON, not an object, an unhashable kind
+    except (StopIteration, ValueError, RecursionError, AttributeError, TypeError):
+        return None
+    if len(rows) < len(lines):  # a line goes on past its value
         return None
     student_ids, object_ids, ts_ms, scroll_y, heights, pageload = zip(*rows)
     del rows  # frees the row tuples before the arrays are built
@@ -177,13 +186,16 @@ def parse_events(stream: Iterable[str]) -> EventColumns:
 
 
 def _checked_chunks(stream: Iterable[str]) -> Iterator[tuple]:
-    """The non-blank lines of each CHUNK_LINES lines of `stream`, as one chunk for `_columns`."""
+    """The non-blank lines of each CHUNK_LINES lines of `stream`, as one chunk for `_columns`.
+
+    A blank line holds only JSON whitespace; any other line must hold one event.
+    """
     first = 1  # the line number of the chunk's first line; blank lines count
     for lines in _chunks(stream):
-        events = [line for line in lines if line.strip()]
+        events = [line for line in lines if line.strip(_JSON_SPACE)]
         if events:
             yield _checked_chunk(events) or _row_columns(
-                [_parse_line(n, line) for n, line in enumerate(lines, start=first) if line.strip()]
+                [_parse_line(n, line) for n, line in enumerate(lines, start=first) if line.strip(_JSON_SPACE)]
             )
         first += len(lines)
 

@@ -248,11 +248,17 @@ def fit(dataset: Dataset, params: GbdtParams) -> GbdtModel:
     values = np.take_along_axis(cols, order, axis=1)
     width = max(1, BLOCK_VALUES // len(y))
     presorted = [(j0, order[j0:j0 + width], values[j0:j0 + width]) for j0 in range(0, len(cols), width)]
-    for _ in range(params.n_rounds):
+    for round_number in range(1, params.n_rounds + 1):
         p = _sigmoid(logits)
         g = p - y
         h = p * (1.0 - p)
-        root = _build_node(cols, g, h, all_rows, presorted, 0, params)
+        try:
+            root = _build_node(cols, g, h, all_rows, presorted, 0, params)
+        except ZeroDivisionError:  # only lambda_l2 = 0 lets a leaf's h_sum + lambda_l2 be 0
+            raise DataError(
+                f"round {round_number}: a leaf's rows all have zero hessian and lambda_l2 = {params.lambda_l2},"
+                " so its value is undefined; use lambda_l2 > 0"
+            ) from None
         trees.append(root)
         logits = logits + _tree_values(root, X)
         loss = _logloss(y, _sigmoid(logits))

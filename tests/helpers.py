@@ -141,8 +141,13 @@ def naive_normalize(events):
 
 
 def parse_events_per_line(stream):
-    """The columns of an event stream parsed one line at a time: the reference for the chunked `parse_events`."""
-    return events_to_columns(_parse_line(n, line) for n, line in enumerate(stream, start=1) if line.strip())
+    """The columns of an event stream parsed one line at a time: the reference for the chunked `parse_events`.
+
+    A line of only JSON whitespace (space, tab, CR, LF) is blank and skipped.
+    """
+    return events_to_columns(
+        _parse_line(n, line) for n, line in enumerate(stream, start=1) if line.strip(" \t\r\n")
+    )
 
 
 def event_rows(columns):

@@ -103,6 +103,17 @@ class TestExitCodes:
         assert str(bad) in err
         assert "line 1" in err
 
+    def test_line_of_non_json_whitespace_names_file_and_line(self, tmp_path, capsys):
+        events = tmp_path / "events.jsonl"
+        events.write_text('{"student_id":"s1","object_id":"p1","ts_ms":5,"scroll_y":0}\n\x0c\n')
+        attempts = tmp_path / "attempts.csv"
+        attempts.write_text("student_id,quiz_id,attempt_index,start_ts_ms,end_ts_ms,score,max_score\n")
+        code = run(["ingest", "--events", str(events), "--attempts", str(attempts),
+                    "--out", str(tmp_path / "store")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert str(events) in err and "line 2: invalid JSON: Expecting value" in err
+
     def test_loose_number_in_attempts_names_file_and_line(self, tmp_path, capsys):
         events = tmp_path / "events.jsonl"
         events.write_text("")
@@ -320,6 +331,26 @@ class TestConfigFile:
         err = capsys.readouterr().err
         assert key in err and str(cfg) in err
 
+
+    def test_zero_hessian_leaf_without_l2_is_data_error(self, tmp_path, capsys):
+        feats = tmp_path / "ones.csv"
+        feats.write_text("student_id,quiz_id,attempt_index,x,label\n"
+                         + "".join(f"s{i},q1,1,{i},1\n" for i in range(6)))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n_rounds": 50, "learning_rate": 1.0, "lambda_l2": 0, "min_child_weight": 0}))
+        code = run(["--config", str(cfg), "train", "--features", str(feats), "--model", str(tmp_path / "m.json")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert ": round 24: " in err and "lambda_l2 = 0," in err
+        assert not (tmp_path / "m.json").exists()
+
+    def test_zero_hessian_leaf_without_l2_in_compare_is_data_error(self, store_dir, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"  # every attempt passes, so the labels are all 1
+        cfg.write_text(json.dumps({"n_rounds": 50, "learning_rate": 1.0, "lambda_l2": 0, "min_child_weight": 0,
+                                   "pass_fraction": 0.0001}))
+        code = run(["--config", str(cfg), "compare", "--store", str(store_dir), "--report", str(tmp_path / "r.json")])
+        assert code == 2
+        assert "lambda_l2 = 0," in capsys.readouterr().err
 
     @pytest.mark.parametrize("key, value", [
         ("n_rounds", "abc"),

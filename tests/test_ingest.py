@@ -30,6 +30,8 @@ from srltrace.sessionize import UnsortedInput
 from srltrace.trace_model import DataError, QuizAttempt
 
 VALID_LINE = '{"student_id":"s1","object_id":"p1","ts_ms":1000,"scroll_y":0,"event":"scroll"}'
+# Characters `str.strip()` removes that JSON does not count as whitespace.
+_NON_JSON_SPACES = ["\x0b", "\x0c", "\x1c", "\x85", "\u2028", "\u3000"]
 
 
 class TestParseEvents:
@@ -42,7 +44,27 @@ class TestParseEvents:
         assert event_rows(parse_events(io.StringIO(""))) == []
 
     def test_blank_lines_skipped(self):
-        assert len(parse_events(io.StringIO(f"\n{VALID_LINE}\n\n"))) == 1
+        assert len(parse_events(io.StringIO(f"\n \t\r\n{VALID_LINE}\n\n"))) == 1
+
+    @pytest.mark.parametrize("space", _NON_JSON_SPACES, ids=ascii)
+    def test_line_of_non_json_whitespace_reports_line(self, space):
+        stream = io.StringIO(f"{VALID_LINE}\n{space}\n{VALID_LINE}\n")
+        with pytest.raises(MalformedEvent) as exc:
+            parse_events(stream)
+        assert (exc.value.line_number, exc.value.reason) == (2, "invalid JSON: Expecting value")
+
+    @pytest.mark.parametrize("space", _NON_JSON_SPACES, ids=ascii)
+    def test_object_followed_by_non_json_whitespace_reports_line(self, space):
+        text = f"{VALID_LINE}\n{VALID_LINE}{space}\n"
+        for parse in (parse_events, parse_events_per_line):
+            assert _parse_outcome(parse, text) == ("error", 2, "invalid JSON: Extra data")
+
+    def test_line_with_leading_space_inside_a_chunk_parses(self):
+        lines = [VALID_LINE.replace("1000", str(1000 + i)) for i in range(300)]
+        lines[149] = " " + lines[149]
+        text = "\n".join(lines) + "\n"
+        assert parse_events(io.StringIO(text)).ts_ms.tolist() == list(range(1000, 1300))
+        assert _parse_outcome(parse_events, text) == _parse_outcome(parse_events_per_line, text)
 
     def test_negative_ts_reports_line(self):
         stream = io.StringIO(VALID_LINE + "\n" + VALID_LINE.replace("1000", "-5"))
@@ -165,27 +187,35 @@ def _object_line(draw, bad: bool):
     return "{" + ",".join(f'"{key}":{token}' for key, token in draw(st.permutations(pairs))) + "}"
 
 
+# What may stand before and after an event object on its line: JSON whitespace
+# (accepted), other whitespace, a byte order mark, or another character (rejected).
+_LEADS = ["", " ", "\t", "\r", "  \t", "\ufeff", "\x0c"]
+_TAILS = ["", " ", "\t", "\r", " \r\t", "x", " x", "}", "{}", *_NON_JSON_SPACES]
+
+
 @st.composite
 def _event_file(draw):
     """Event lines, mostly good; a padding of good lines puts the rest at or near the chunk boundary."""
     lines = [VALID_LINE] * draw(st.sampled_from([0, 0, ingest.CHUNK_LINES - 2, ingest.CHUNK_LINES - 1]))
     for _ in range(draw(st.integers(0, 8))):
-        shape = draw(st.integers(0, 19))
+        shape = draw(st.integers(0, 20))
         if shape < 11:
             lines.append(draw(_object_line(bad=False)))
         elif shape < 16:
             lines.append(draw(_object_line(bad=True)))
         elif shape == 16:
-            lines.append(draw(st.sampled_from(["", " ", "\t", "\u3000"])))  # blank, yet counted
+            lines.append(draw(st.sampled_from(["", " ", "\t", "\r", " \t\r"] + _NON_JSON_SPACES)))
         elif shape == 17:
-            lines.append(draw(st.sampled_from(["[]", "1", '"s1"', "null", "[{}]"])))
+            lines.append(draw(st.sampled_from(["[]", "1", '"s1"', "null", "[{}]", " []", "1 ", "[1]x"])))
         elif shape == 18:
             sep = draw(st.sampled_from(["", ",", " "]))
             lines.append(draw(_object_line(bad=False)) + sep + draw(_object_line(bad=False)))
-        else:
+        elif shape == 19:
             line = draw(_object_line(bad=False))
             cut = draw(st.integers(1, len(line) - 1))
             lines += [line[:cut], line[cut:]]
+        else:
+            lines.append(draw(st.sampled_from(_LEADS)) + draw(_object_line(bad=False)) + draw(st.sampled_from(_TAILS)))
     return "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
 
 
@@ -199,6 +229,14 @@ _SPLIT_ACROSS_ELEMENTS = "\n".join([
 @settings(max_examples=300, deadline=None)
 @given(text=_event_file())
 @example(text=_SPLIT_ACROSS_ELEMENTS)
+@example(text=f" {VALID_LINE}\n\t{VALID_LINE}")
+@example(text=f"{VALID_LINE} \t\r\n{VALID_LINE}\r")
+@example(text="\ufeff" + VALID_LINE)
+@example(text=f"{VALID_LINE}\n{VALID_LINE}{VALID_LINE}")
+@example(text=f"{VALID_LINE}\n{VALID_LINE} {VALID_LINE}")
+@example(text=f"{VALID_LINE}\n1\n")
+@example(text=f"{VALID_LINE}\n[{VALID_LINE}]\n")
+@example(text=f"{VALID_LINE}\n{VALID_LINE}x")
 @example(text="\n".join([VALID_LINE] * (ingest.CHUNK_LINES - 1) + ['{"student_id":"s1"}', "", VALID_LINE]))
 @example(text=VALID_LINE + "\n" + VALID_LINE.replace("1000", "-1"))
 @example(text=VALID_LINE.replace("1000", str(2**63)))

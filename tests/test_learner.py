@@ -36,7 +36,7 @@ from srltrace.learner import (
     save_model,
     split_students,
 )
-from srltrace.trace_model import GbdtParams, InvalidConfig, PipelineConfig
+from srltrace.trace_model import DataError, GbdtParams, InvalidConfig, PipelineConfig
 
 
 def make_ds(X, y, names=None):
@@ -186,6 +186,12 @@ class TestFit:
     def test_nonfinite_features_rejected(self):
         with pytest.raises(InvalidDataset):
             fit(make_ds(np.array([0.0, np.nan, 1.0]), np.array([0.0, 1.0, 1.0])), GbdtParams())
+
+    def test_zero_hessian_leaf_without_l2_names_round_and_lambda(self):
+        ds = make_ds(np.arange(6.0), np.ones(6))
+        params = GbdtParams(n_rounds=50, learning_rate=1.0, lambda_l2=0.0, min_child_weight=0.0)
+        with pytest.raises(DataError, match=r"^round 24: .*lambda_l2 = 0\.0,"):
+            fit(ds, params)
 
     def test_deterministic(self):
         rng = np.random.default_rng(0)
