@@ -248,23 +248,29 @@ def fit(dataset: Dataset, params: GbdtParams) -> GbdtModel:
     values = np.take_along_axis(cols, order, axis=1)
     width = max(1, BLOCK_VALUES // len(y))
     presorted = [(j0, order[j0:j0 + width], values[j0:j0 + width]) for j0 in range(0, len(cols), width)]
-    for round_number in range(1, params.n_rounds + 1):
-        p = _sigmoid(logits)
-        g = p - y
-        h = p * (1.0 - p)
-        try:
-            root = _build_node(cols, g, h, all_rows, presorted, 0, params)
-        except ZeroDivisionError:  # only lambda_l2 = 0 lets a leaf's h_sum + lambda_l2 be 0
-            raise DataError(
-                f"round {round_number}: a leaf's rows all have zero hessian and lambda_l2 = {params.lambda_l2},"
-                " so its value is undefined; use lambda_l2 > 0"
-            ) from None
-        trees.append(root)
-        logits = logits + _tree_values(root, X)
-        loss = _logloss(y, _sigmoid(logits))
-        if loss > losses[-1] + 1e-12:
-            raise RuntimeError(f"training loss increased: {losses[-1]} -> {loss}")
-        losses.append(loss)
+    # With lambda_l2 = 0 a child's hessian sum can be 0, so some gains are 0 / 0; _best_split skips them.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for round_number in range(1, params.n_rounds + 1):
+            p = _sigmoid(logits)
+            g = p - y
+            h = p * (1.0 - p)
+            try:
+                root = _build_node(cols, g, h, all_rows, presorted, 0, params)
+            except ZeroDivisionError:  # only lambda_l2 = 0 lets a leaf's h_sum + lambda_l2 be 0
+                raise DataError(
+                    f"round {round_number}: a leaf's rows all have zero hessian and lambda_l2 = {params.lambda_l2},"
+                    " so its value is undefined; use lambda_l2 > 0"
+                ) from None
+            trees.append(root)
+            logits = logits + _tree_values(root, X)
+            loss = _logloss(y, _sigmoid(logits))
+            if loss > losses[-1] + 1e-12:
+                raise DataError(
+                    f"round {round_number}: training loss rose from {losses[-1]!r} to {loss!r} with learning_rate ="
+                    f" {params.learning_rate}, lambda_l2 = {params.lambda_l2}, min_child_weight = {params.min_child_weight};"
+                    " the step overshot, so lower learning_rate or raise lambda_l2"
+                )
+            losses.append(loss)
     return GbdtModel(
         base_score_logit=base,
         trees=trees,

@@ -109,6 +109,13 @@ def _sigmoid(x: float) -> float:
     return float(e / (1.0 + e))
 
 
+def _uniform(rng: np.random.Generator, low: float, high: float) -> float:
+    """`float(rng.uniform(low, high))`, draw for draw: NumPy computes
+    `low + (high - low) * next_double`, the double `rng.random()` returns,
+    without the argument handling that makes `uniform` about 3x as costly."""
+    return low + (high - low) * rng.random()
+
+
 def _emit_episode(
     rng: np.random.Generator,
     student_id: str,
@@ -138,38 +145,38 @@ def _emit_episode(
             events.append((student_id, obj, t, 0.0, page_height, "pageload"))
         else:
             # restart-from-top on the same object
-            events.append((student_id, obj, t, float(rng.uniform(0, 40)), page_height, "scroll"))
-        t += int(rng.uniform(2000, 9000) * dt_scale)
+            events.append((student_id, obj, t, _uniform(rng, 0, 40), page_height, "scroll"))
+        t += int(_uniform(rng, 2000, 9000) * dt_scale)
 
-        y = float(rng.uniform(60, 150))
+        y = _uniform(rng, 60, 150)
         breaks_left = 1 if rng.random() < break_prob else 0
         remaining_backscrolls = per_session[s]
         # scroll to the bottom, interleaving backscroll runs
         while y < page_height - 100:
             events.append((student_id, obj, t, y, page_height, "scroll"))
-            t += int(rng.uniform(2000, 9000) * dt_scale)
+            t += int(_uniform(rng, 2000, 9000) * dt_scale)
             if breaks_left and rng.random() < 0.2:
-                t += int(rng.uniform(360_000, 900_000))
+                t += int(_uniform(rng, 360_000, 900_000))
                 breaks_left -= 1
             if remaining_backscrolls and y > 600 and rng.random() < 0.4:
                 run_len = int(rng.integers(1, 4))
                 for _ in range(run_len):
-                    y = max(100.0, y - float(rng.uniform(100, 400)))
+                    y = max(100.0, y - _uniform(rng, 100, 400))
                     events.append((student_id, obj, t, y, page_height, "scroll"))
-                    t += int(rng.uniform(1500, 5000) * dt_scale)
+                    t += int(_uniform(rng, 1500, 5000) * dt_scale)
                 remaining_backscrolls -= 1
-            y += float(rng.uniform(150, 350))
+            y += _uniform(rng, 150, 350)
         events.append((student_id, obj, t, min(y, page_height), page_height, "scroll"))
-        t += int(rng.uniform(3000, 12000) * dt_scale)
+        t += int(_uniform(rng, 3000, 12000) * dt_scale)
         # any backscrolls not spent mid-page happen near the bottom
         while remaining_backscrolls:
             yy = min(y, page_height)
             for _ in range(int(rng.integers(1, 3))):
-                yy = max(100.0, yy - float(rng.uniform(100, 400)))
+                yy = max(100.0, yy - _uniform(rng, 100, 400))
                 events.append((student_id, obj, t, yy, page_height, "scroll"))
-                t += int(rng.uniform(1500, 5000) * dt_scale)
-            events.append((student_id, obj, t, min(yy + float(rng.uniform(120, 300)), page_height), page_height, "scroll"))
-            t += int(rng.uniform(2000, 6000) * dt_scale)
+                t += int(_uniform(rng, 1500, 5000) * dt_scale)
+            events.append((student_id, obj, t, min(yy + _uniform(rng, 120, 300), page_height), page_height, "scroll"))
+            t += int(_uniform(rng, 2000, 6000) * dt_scale)
             remaining_backscrolls -= 1
     return events, t
 
@@ -184,7 +191,7 @@ def _score_for(rng: np.random.Generator, passed: bool, adjusted: bool | None) ->
         lo, hi = cal["unadjusted_fail_score_lo"], cal["unadjusted_fail_score_hi"]
     else:
         lo, hi = cal["fail_score_lo"], cal["fail_score_hi"]
-    return float(rng.uniform(lo, hi))
+    return _uniform(rng, lo, hi)
 
 
 def _generate_student(
@@ -196,7 +203,7 @@ def _generate_student(
     signal = cfg.signal_strength
     noise_sd = cfg.noise * cal["noise_logit_scale"]
 
-    reflectiveness = float(rng.uniform(0, 1))
+    reflectiveness = _uniform(rng, 0, 1)
     care_mode = 1.0 if rng.random() < 0.5 else -1.0
     care = float(rng.normal(care_mode * cal["care_mode_mean"], cal["care_mode_sd"]))
     volume = float(rng.normal(0, 1))
@@ -207,7 +214,7 @@ def _generate_student(
     events: list[tuple] = []
     attempts: list[QuizAttempt] = []
     truth_rows: list[dict] = []
-    t = int(rng.uniform(0, 48 * 3600 * 1000))
+    t = int(_uniform(rng, 0, 48 * 3600 * 1000))
 
     for q in range(1, cfg.n_quizzes + 1):
         quiz_id = f"q{q:02d}"
@@ -235,7 +242,7 @@ def _generate_student(
                 n_sessions = 1
                 n_back = max(0, int(round(0.5 * backscroll_base + rng.normal(0, 1.0))))
                 ep_dt = dt_scale
-                duration_ms = int(prev_duration_ms * rng.uniform(cal["retry_pass_time_mult_lo"], cal["retry_pass_time_mult_hi"]))
+                duration_ms = int(prev_duration_ms * _uniform(rng, cal["retry_pass_time_mult_lo"], cal["retry_pass_time_mult_hi"]))
                 logit = cal["retry_pass_logit"] * signal + cal["retry_fail_logit_base"]
             else:
                 adjusted = bool(rng.random() < reflectiveness)
@@ -243,13 +250,13 @@ def _generate_student(
                     n_sessions = max(1, int(round(1.2 + rng.normal(0, 0.5))))
                     n_back = max(1, int(round(backscroll_base * cal["adjust_backscroll_mult"] + cal["adjust_backscroll_add"] + rng.normal(0, 1.5))))
                     ep_dt = dt_scale * 1.4
-                    duration_ms = int(prev_duration_ms * rng.uniform(cal["adjust_time_mult_lo"], cal["adjust_time_mult_hi"]))
+                    duration_ms = int(prev_duration_ms * _uniform(rng, cal["adjust_time_mult_lo"], cal["adjust_time_mult_hi"]))
                     logit = cal["retry_fail_logit_base"] + signal * cal["adjust_logit"]
                 else:
                     n_sessions = max(1, int(round(1.2 + rng.normal(0, 0.5))))
                     n_back = max(0, int(round(backscroll_base * 0.8 + rng.normal(0, 1.2))))
                     ep_dt = dt_scale
-                    duration_ms = int(prev_duration_ms * rng.uniform(cal["no_adjust_time_mult_lo"], cal["no_adjust_time_mult_hi"]))
+                    duration_ms = int(prev_duration_ms * _uniform(rng, cal["no_adjust_time_mult_lo"], cal["no_adjust_time_mult_hi"]))
                     logit = cal["retry_fail_logit_base"] + signal * cal["no_adjust_logit"]
                 if len(prev_scores) >= 2:
                     # third attempt and later: trajectory of the two known scores
@@ -260,7 +267,7 @@ def _generate_student(
                 rng, student_id, t, objects, n_sessions, n_back, ep_dt, cal["break_prob"]
             )
             events.extend(ep_events)
-            t += int(rng.uniform(60_000, 600_000))  # gap before opening the quiz
+            t += int(_uniform(rng, 60_000, 600_000))  # gap before opening the quiz
 
             logit += float(rng.normal(0, noise_sd)) if noise_sd > 0 else 0.0
             pass_prob = min(max(_sigmoid(logit), 0.02), 0.98)
@@ -292,7 +299,7 @@ def _generate_student(
                     "passed": passed,
                 }
             )
-            t = end + int(rng.uniform(300_000, 1_800_000))
+            t = end + int(_uniform(rng, 300_000, 1_800_000))
 
             prev_scores.append(frac)
             prev_passed = passed

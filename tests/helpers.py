@@ -15,7 +15,7 @@ import numpy as np
 
 from srltrace import learner
 from srltrace.ingest import _parse_line, build_store, events_to_columns
-from srltrace.trace_model import QuizAttempt, SessionizerConfig
+from srltrace.trace_model import DataError, QuizAttempt, SessionizerConfig
 
 # Pass/fail checklist lines collected by the acceptance tests and echoed in
 # the terminal summary (see conftest.py).
@@ -237,7 +237,7 @@ def fit_per_feature(dataset, params):
     trees = []
     cols = np.ascontiguousarray(X.T)
     presorted = [np.argsort(col, kind="stable") for col in cols]
-    for _ in range(params.n_rounds):
+    for round_number in range(1, params.n_rounds + 1):
         p = learner._sigmoid(logits)
         g = p - y
         h = p * (1.0 - p)
@@ -246,7 +246,11 @@ def fit_per_feature(dataset, params):
         logits = logits + learner._tree_values(root, X)
         loss = learner._logloss(y, learner._sigmoid(logits))
         if loss > losses[-1] + 1e-12:
-            raise RuntimeError(f"training loss increased: {losses[-1]} -> {loss}")
+            raise DataError(
+                f"round {round_number}: training loss rose from {losses[-1]!r} to {loss!r} with learning_rate ="
+                f" {params.learning_rate}, lambda_l2 = {params.lambda_l2}, min_child_weight = {params.min_child_weight};"
+                " the step overshot, so lower learning_rate or raise lambda_l2"
+            )
         losses.append(loss)
     return learner.GbdtModel(base, trees, tuple(dataset.feature_names), params, losses)
 

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import shutil
+import warnings
 
 import pytest
 
@@ -351,6 +352,35 @@ class TestConfigFile:
         code = run(["--config", str(cfg), "compare", "--store", str(store_dir), "--report", str(tmp_path / "r.json")])
         assert code == 2
         assert "lambda_l2 = 0," in capsys.readouterr().err
+
+    # A full Newton step without L2 overshoots on the 30-student seed-3 store.
+    OVERSHOOT = {"lambda_l2": 0, "min_child_weight": 0, "learning_rate": 1.0}
+
+    def test_rising_training_loss_is_data_error(self, trained, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(self.OVERSHOOT))
+        code = run(["--config", str(cfg), "train", "--features", str(trained[0]), "--model", str(tmp_path / "m.json")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{trained[0]}: round 5: training loss rose from 0.14495109448447813 to 0.1500966653822125" in err
+        assert "with learning_rate = 1.0, lambda_l2 = 0, min_child_weight = 0;" in err
+        assert not (tmp_path / "m.json").exists()
+
+    def test_rising_training_loss_in_compare_is_data_error(self, store_dir, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(self.OVERSHOOT))
+        code = run(["--config", str(cfg), "compare", "--store", str(store_dir), "--report", str(tmp_path / "r.json"),
+                    "--seed", "6"])
+        assert code == 2
+        assert ": round 5: training loss rose from 0.10663900619399307 to 0.11463702446975678" in capsys.readouterr().err
+
+    def test_compare_with_undefined_gains_warns_nothing(self, store_dir, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(self.OVERSHOOT))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a RuntimeWarning would end the run with exit 3
+            code = run(["--config", str(cfg), "compare", "--store", str(store_dir), "--report", str(tmp_path / "r.json")])
+        assert code == 0
 
     @pytest.mark.parametrize("key, value", [
         ("n_rounds", "abc"),

@@ -1,8 +1,10 @@
 """Boosted-tree learner: fit fixtures, numeric oracles, splits, metrics, I/O."""
 
+import hashlib
 import json
 import math
 import random
+import warnings
 from dataclasses import replace
 from unittest import mock
 
@@ -193,6 +195,29 @@ class TestFit:
         with pytest.raises(DataError, match=r"^round 24: .*lambda_l2 = 0\.0,"):
             fit(ds, params)
 
+    def test_rising_training_loss_names_round_losses_and_params(self):
+        # A full Newton step without L2 overshoots: the one positive row shares its value with a negative row.
+        ds = make_ds([2.0, 3.0, 2.0, 1.0, 0.0, 3.0, 0.0, 1.0, 3.0, 3.0, 2.0], [0.0] * 7 + [1.0] + [0.0] * 3)
+        params = GbdtParams(n_rounds=30, learning_rate=1.0, lambda_l2=0.0, min_child_weight=0.0)
+        with pytest.raises(DataError, match=(
+            r"^round 2: training loss rose from 0\.27990876671790793 to 0\.4097171627484867"
+            r" with learning_rate = 1\.0, lambda_l2 = 0\.0, min_child_weight = 0\.0;"
+        )):
+            fit(ds, params)
+
+    def test_undefined_gains_skipped_without_warnings(self):
+        # lambda_l2 = 0 and min_child_weight = 0 let a child's hessian sum be 0, so some gains are 0 / 0;
+        # the split search skips them, and the fit warns about none of them.
+        ds = make_ds([0.0, 0.0, 0.0, 1.0], [0.0, 0.0, 0.0, 1.0])
+        params = GbdtParams(n_rounds=50, learning_rate=1.0, lambda_l2=0.0, min_child_weight=0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            model = fit(ds, params)
+        model_bytes = (json.dumps(model_to_dict(model)) + "\n").encode()
+        assert hashlib.sha256(model_bytes).hexdigest() == (
+            "6ac1b99049361021bd8ae9c53492bbeb7dd45f633dc2bce3bed3756938ff6100"
+        )
+
     def test_deterministic(self):
         rng = np.random.default_rng(0)
         ds = random_ds(rng, 30, 3)
@@ -283,7 +308,7 @@ def _fit_outcome(fit_fn, X, y, params):
     with np.errstate(divide="ignore", invalid="ignore"):
         try:
             model = fit_fn(make_ds(X, y), params)
-        except RuntimeError as exc:
+        except DataError as exc:
             return str(exc)
     return json.dumps(model_to_dict(model)), repr(model.train_losses)
 

@@ -1,15 +1,19 @@
 """Synthetic cohort generator: determinism, validity, latent-truth checks."""
 
+import hashlib
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
+from srltrace import synthgen
 from srltrace.features import assemble_dataset
 from srltrace.ingest import build_store, parse_attempts, parse_events
 from srltrace.learner import run_comparison
 from srltrace.sessionize import reading_window
-from srltrace.synthgen import Cohort, GenConfig, InvalidConfig, generate_cohort, write_cohort
+from srltrace.synthgen import CALIBRATION, Cohort, GenConfig, InvalidConfig, generate_cohort, write_cohort
 from srltrace.trace_model import PipelineConfig
 
 
@@ -47,6 +51,69 @@ class TestDeterminism:
         a = generate_cohort(GenConfig(n_students=5, seed=1))
         b = generate_cohort(GenConfig(n_students=5, seed=2))
         assert a.attempts != b.attempts
+
+
+# sha256 of the raw cohort in the long-history shape (10 students, 48 quizzes, seed 7);
+# a speedup of the generator keeps every byte.
+LONG_HISTORY_SHA256 = {
+    "events.jsonl": "9386890b322f25987642202820709fbe495401e2171c10bea208ef564d81c89c",
+    "attempts.csv": "6bd4e120ae4e04b8d8e21304f8756767ef8f4fb88d0e2b41a24a264a0c9dcf9d",
+    "truth.json": "e80881211f9843b9b26b7a32076763aab6c8ef11de7df58373349409408f3d30",
+}
+
+
+def test_long_history_cohort_is_a_fixed_point(tmp_path):
+    write_cohort(generate_cohort(GenConfig(n_students=10, n_quizzes=48, seed=7)), tmp_path)
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in LONG_HISTORY_SHA256}
+    assert digests == LONG_HISTORY_SHA256
+
+
+def _cal_range(name: str) -> tuple[float, float]:
+    return CALIBRATION[f"{name}_lo"], CALIBRATION[f"{name}_hi"]
+
+
+# Every (low, high) the generator draws a uniform from.
+UNIFORM_RANGES = [
+    (0, 1), (0, 48 * 3600 * 1000), (0, 40), (60, 150), (100, 400), (120, 300), (150, 350),
+    (1500, 5000), (2000, 6000), (2000, 9000), (3000, 12000),
+    (60_000, 600_000), (300_000, 1_800_000), (360_000, 900_000),
+    *map(_cal_range, ("retry_pass_time_mult", "adjust_time_mult", "no_adjust_time_mult",
+                      "fail_score", "adjusted_fail_score", "unadjusted_fail_score", "pass_score")),
+]
+
+
+def check_uniform_draws(low, high, seed: int, n: int) -> None:
+    """`synthgen._uniform` gives `float(rng.uniform(low, high))` n times over, and the next `random()` agrees."""
+    ours, numpy_s = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(n):
+        got = synthgen._uniform(ours, low, high)
+        assert type(got) is float and got == float(numpy_s.uniform(low, high))
+    assert ours.random() == numpy_s.random()
+
+
+class TestUniform:
+    def test_ranges_are_every_range_the_generator_draws_from(self):
+        seen = set()
+
+        def record(rng, low, high):
+            seen.add((low, high))
+            return float(rng.uniform(low, high))
+
+        with mock.patch.object(synthgen, "_uniform", record):
+            generate_cohort(GenConfig(n_students=30, seed=9))
+        assert seen == set(UNIFORM_RANGES)
+
+    @pytest.mark.parametrize("low, high", UNIFORM_RANGES)
+    def test_equals_numpy_uniform_draw_for_draw(self, low, high):
+        check_uniform_draws(low, high, seed=7, n=2000)
+
+    @given(
+        st.one_of(st.integers(-10**9, 10**9), st.floats(-1e12, 1e12)),
+        st.one_of(st.integers(-10**9, 10**9), st.floats(-1e12, 1e12)),
+        st.integers(0, 2**32),
+    )
+    def test_equals_numpy_uniform_on_any_range(self, a, b, seed):
+        check_uniform_draws(*sorted((a, b)), seed, n=20)  # NumPy rejects high < low
 
 
 class TestValidity:
