@@ -11,6 +11,10 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import pickle
+import traceback
+import warnings
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
@@ -498,8 +502,73 @@ class ComparisonReport:
         }
 
 
+def _side_by_side(first, second) -> tuple:
+    """Return `(first(), second())`, running `first` in a forked child while this process runs `second`.
+
+    The child sends its result, or the exception it raised, back pickled through a pipe and
+    leaves through `os._exit`, so it never returns into the caller or flushes its stdio buffers.
+    If both raise, `first`'s exception is the one raised, as when they run in turn, which they
+    do where `os.fork` does not exist. The child is reaped on every path.
+    """
+    if not hasattr(os, "fork"):
+        return first(), second()
+    read_fd, write_fd = os.pipe()
+    with warnings.catch_warnings():
+        # Python 3.12 warns here when NumPy's BLAS pool makes the process multi-threaded; the
+        # child only computes and exits. Raised under -W error, the warning would leave it unreaped.
+        warnings.filterwarnings("ignore", "This process .* is multi-threaded", DeprecationWarning)
+        pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            os.close(read_fd)
+            try:
+                outcome = (True, first(), None)
+            except Exception as exc:
+                outcome = (False, exc, traceback.format_exc())
+            with open(write_fd, "wb") as pipe:
+                pickle.dump(outcome, pipe)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write_fd)
+    try:
+        with open(read_fd, "rb") as pipe:
+            try:
+                mine = (True, second())
+            except Exception as exc:
+                mine = (False, exc)
+            data = pipe.read()
+    finally:
+        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if code != 0:
+        how = f"exit status {code}" if code > 0 else f"signal {-code}"
+        raise ChildProcessError(f"the forked child ended with {how} before it sent its result")
+    ok, theirs, child_traceback = pickle.loads(data)
+    if not ok:
+        raise theirs from RuntimeError(f"in the forked child:\n{child_traceback}")
+    if not mine[0]:
+        raise mine[1]
+    return theirs, mine[1]
+
+
+def _fit_and_evaluate(ds: Dataset, train_set: set, test_set: set, cfg: PipelineConfig) -> EvalReport:
+    model = fit(ds.subset_by_students(train_set), cfg.gbdt)
+    return evaluate(
+        model,
+        ds.subset_by_students(test_set),
+        decision_threshold=cfg.decision_threshold,
+        importance_repeats=cfg.importance_repeats,
+        importance_seed=cfg.split_seed,
+    )
+
+
 def run_comparison(store: TraceStore, cfg: PipelineConfig) -> ComparisonReport:
-    """Train/evaluate baseline and SRL feature sets on one shared student split."""
+    """Train/evaluate baseline and SRL feature sets on one shared student split.
+
+    The branches share nothing after the split, so the baseline's fit and evaluate run in a
+    forked child while this process runs the SRL set's (see `_side_by_side`).
+    """
     full = assemble_dataset(store, "srl", replace(cfg, srl_only=False))
     base_ds, srl_ds = full.select(BASELINE_FEATURES), full.select(feature_columns("srl", cfg.srl_only))
     train_students, test_students = split_students(
@@ -508,20 +577,14 @@ def run_comparison(store: TraceStore, cfg: PipelineConfig) -> ComparisonReport:
     train_set = set(train_students)
     test_set = set(test_students)
 
-    reports = {}
-    for name, ds in (("baseline", base_ds), ("srl", srl_ds)):
-        model = fit(ds.subset_by_students(train_set), cfg.gbdt)
-        reports[name] = evaluate(
-            model,
-            ds.subset_by_students(test_set),
-            decision_threshold=cfg.decision_threshold,
-            importance_repeats=cfg.importance_repeats,
-            importance_seed=cfg.split_seed,
-        )
+    baseline, srl = _side_by_side(
+        lambda: _fit_and_evaluate(base_ds, train_set, test_set, cfg),
+        lambda: _fit_and_evaluate(srl_ds, train_set, test_set, cfg),
+    )
     return ComparisonReport(
-        baseline=reports["baseline"],
-        srl=reports["srl"],
-        accuracy_delta=reports["srl"].accuracy - reports["baseline"].accuracy,
+        baseline=baseline,
+        srl=srl,
+        accuracy_delta=srl.accuracy - baseline.accuracy,
         split_seed=cfg.split_seed,
         test_fraction=cfg.test_fraction,
         train_students=train_students,

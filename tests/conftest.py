@@ -1,3 +1,5 @@
+import signal
+
 import pytest
 
 import helpers
@@ -23,3 +25,17 @@ def stream_passes(monkeypatch):
 
     monkeypatch.setattr(sessionize, "_StreamPass", counting)
     return lengths
+
+
+@pytest.fixture
+def time_limit():
+    """Fail a test that waits on a forked child for more than 60 s instead of hanging the run."""
+
+    def expire(signum, frame):
+        raise TimeoutError("no result within 60 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)

@@ -8,6 +8,7 @@ path; it is the oracle the production implementation is checked against.
 from __future__ import annotations
 
 import math
+import os
 import random
 from typing import NamedTuple
 
@@ -318,3 +319,12 @@ def mutate_score(store, target: QuizAttempt, new_score: float):
                               att.start_ts_ms, att.end_ts_ms, new_score, att.max_score)
         attempts.append(att)
     return build_store(store.events, attempts)
+
+
+def no_child_left() -> bool:
+    """True when this process has no child process, running or unreaped."""
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False

@@ -2,12 +2,16 @@
 
 import hashlib
 import json
+import os
 import shutil
 import warnings
 
 import pytest
 
+from helpers import no_child_left
+from srltrace import learner
 from srltrace.cli import CONFIG_ENV_VAR, run
+from srltrace.features import BASELINE_FEATURES
 
 
 def _digest(path):
@@ -382,6 +386,30 @@ class TestConfigFile:
             code = run(["--config", str(cfg), "compare", "--store", str(store_dir), "--report", str(tmp_path / "r.json")])
         assert code == 0
 
+    # The baseline branch of compare runs in a forked child; each case reports what the
+    # branches reported when they ran in turn, the baseline's error first.
+    LOSS_ROSE = "training loss rose from {} with learning_rate = 1.0, lambda_l2 = 0, min_child_weight = 0;" \
+                " the step overshot, so lower learning_rate or raise lambda_l2"
+
+    @pytest.mark.parametrize("extra, seed, message", [
+        ({}, 6, "round 5: " + LOSS_ROSE.format("0.10663900619399307 to 0.11463702446975678")),
+        ({}, 21, "round 16: " + LOSS_ROSE.format("0.16598404034145947 to 0.17312259803301924")),
+        ({"max_depth": 2}, 46, "round 7: " + LOSS_ROSE.format("0.3887685086595005 to 0.39094416194257353")),
+    ], ids=["srl-fails", "baseline-fails", "both-fail"])
+    @pytest.mark.parametrize("mode", ["forked", "in turn"])
+    @pytest.mark.usefixtures("time_limit")
+    def test_failing_branch_error_in_compare(self, store_dir, tmp_path, capsys, monkeypatch, extra, seed, message,
+                                             mode):
+        if mode == "in turn":
+            monkeypatch.delattr(os, "fork", raising=False)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**self.OVERSHOOT, **extra}))
+        code = run(["--config", str(cfg), "compare", "--store", str(store_dir), "--report", str(tmp_path / "r.json"),
+                    "--seed", str(seed)])
+        assert (code, capsys.readouterr().err) == (2, f"error: {store_dir}: {message}\n")
+        assert not (tmp_path / "r.json").exists()
+        assert no_child_left()
+
     @pytest.mark.parametrize("key, value", [
         ("n_rounds", "abc"),
         ("n_rounds", 2.5),
@@ -395,6 +423,80 @@ class TestConfigFile:
                     "--features", str(trained[0]), "--report", str(tmp_path / "r.json")])
         assert code == 1
         assert key in capsys.readouterr().err
+
+
+def _patch_baseline_fit(monkeypatch, action):
+    """Run `action()` at the start of every fit of the baseline feature set, which compare forks off."""
+    real = learner.fit
+
+    def fit(dataset, params):
+        if tuple(dataset.feature_names) == tuple(BASELINE_FEATURES):
+            action()
+        return real(dataset, params)
+
+    monkeypatch.setattr(learner, "fit", fit)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork on this platform")
+@pytest.mark.usefixtures("time_limit")
+class TestForkedCompare:
+    def _compare(self, store_dir, out_dir):
+        return run(["compare", "--store", str(store_dir), "--report", str(out_dir / "r.json")])
+
+    def test_success_leaves_no_child(self, store_dir, tmp_path):
+        assert self._compare(store_dir, tmp_path) == 0
+        assert no_child_left()
+
+    def test_child_that_dies_ends_compare_naming_its_status(self, store_dir, tmp_path, capsys, monkeypatch):
+        test_pid = os.getpid()
+
+        def die():
+            if os.getpid() == test_pid:
+                raise AssertionError("the baseline fit ran in the test's own process")
+            os._exit(7)
+
+        _patch_baseline_fit(monkeypatch, die)
+        assert self._compare(store_dir, tmp_path) == 2
+        assert capsys.readouterr().err == "error: the forked child ended with exit status 7 before it sent its result\n"
+        assert not (tmp_path / "r.json").exists()
+        assert no_child_left()
+
+    def test_warning_in_the_child_is_raised_in_the_parent(self, store_dir, tmp_path, capsys, monkeypatch):
+        def warn():
+            warnings.warn(f"raised in process {os.getpid()}", RuntimeWarning)
+
+        _patch_baseline_fit(monkeypatch, warn)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the child inherits it, as it does in the test of undefined gains
+            code = self._compare(store_dir, tmp_path)
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "in the forked child:" in err
+        last = err.rstrip().splitlines()[-1]
+        assert last.startswith("RuntimeWarning: raised in process ")
+        assert last != f"RuntimeWarning: raised in process {os.getpid()}"
+        assert no_child_left()
+
+    def test_fork_warning_leaves_no_orphan(self, store_dir, tmp_path, monkeypatch):
+        # Python 3.12 warns in the parent, after the fork, when the process has more than one thread.
+        real_fork = os.fork
+
+        def fork():
+            pid = real_fork()
+            if pid:
+                warnings.warn(f"This process (pid={os.getpid()}) is multi-threaded, use of fork() may lead to "
+                              "deadlocks in the child.", DeprecationWarning, stacklevel=2)
+            return pid
+
+        plain = tmp_path / "plain"
+        plain.mkdir()
+        assert self._compare(store_dir, plain) == 0
+        monkeypatch.setattr(os, "fork", fork)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert self._compare(store_dir, tmp_path) == 0
+        assert no_child_left()
+        assert (tmp_path / "r.json").read_bytes() == (plain / "r.json").read_bytes()
 
 
 class TestArtifactDeterminism:

@@ -3,7 +3,11 @@
 import hashlib
 import json
 import math
+import os
 import random
+import signal
+import subprocess
+import sys
 import warnings
 from dataclasses import replace
 from unittest import mock
@@ -12,7 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from helpers import fit_per_feature, random_store_inputs
+from helpers import fit_per_feature, no_child_left, random_store_inputs
 from srltrace import learner
 from srltrace.features import BASELINE_FEATURES, SRL_FEATURES, Dataset
 from srltrace.ingest import build_store
@@ -763,3 +767,75 @@ class TestRunComparison:
         report = run_comparison(self._store(), replace(self.CFG, srl_only=True))
         assert list(report.srl.permutation_importance) == SRL_FEATURES
         assert list(report.baseline.permutation_importance) == BASELINE_FEATURES
+
+
+def _raise(exc):
+    raise exc
+
+
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork on this platform")
+
+
+@pytest.mark.usefixtures("time_limit")
+class TestSideBySide:
+    """`run_comparison` runs its baseline branch in a forked child beside the SRL branch."""
+
+    @pytest.fixture(params=["forked", "in turn"])
+    def mode(self, request, monkeypatch):
+        if request.param == "in turn":
+            monkeypatch.delattr(os, "fork", raising=False)
+        return request.param
+
+    def test_returns_both_results_in_order(self, mode):
+        assert learner._side_by_side(lambda: {"first": 1}, lambda: [2]) == ({"first": 1}, [2])
+        assert no_child_left()
+
+    def test_first_error_wins_when_both_fail(self, mode):
+        with pytest.raises(DataError, match="^first$"):
+            learner._side_by_side(lambda: _raise(DataError("first")), lambda: _raise(DataError("second")))
+        assert no_child_left()
+
+    @pytest.mark.parametrize("failing", ["first", "second"])
+    def test_one_error_is_raised_as_it_is(self, mode, failing):
+        ok = lambda: 1  # noqa: E731
+        bad = lambda: _raise(ArityMismatch(failing))  # noqa: E731
+        with pytest.raises(ArityMismatch, match=f"^{failing}$"):
+            learner._side_by_side(*((bad, ok) if failing == "first" else (ok, bad)))
+        assert no_child_left()
+
+    @needs_fork
+    def test_child_traceback_is_the_cause(self):
+        with pytest.raises(KeyError) as info:
+            learner._side_by_side(lambda: {}["missing"], lambda: 1)
+        cause = str(info.value.__cause__)
+        assert cause.startswith("in the forked child:\nTraceback") and "KeyError: 'missing'" in cause
+
+    @needs_fork
+    def test_child_that_dies_names_its_exit_status(self):
+        with pytest.raises(ChildProcessError, match="^the forked child ended with exit status 7 before it sent its result$"):
+            learner._side_by_side(lambda: os._exit(7), lambda: 1)
+        assert no_child_left()
+
+    @needs_fork
+    def test_child_killed_by_a_signal_names_it(self):
+        with pytest.raises(ChildProcessError, match="ended with signal 9 before"):
+            learner._side_by_side(lambda: os.kill(os.getpid(), signal.SIGKILL), lambda: 1)
+        assert no_child_left()
+
+    @needs_fork
+    def test_child_leaves_the_parents_output_buffers_alone(self):
+        script = "from srltrace import learner; print('buffered'); learner._side_by_side(lambda: 1, lambda: 2)"
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=60)
+        assert (done.returncode, done.stdout) == (0, "buffered\n")
+
+    @needs_fork
+    def test_child_runs_in_another_process(self):
+        child_pid, parent_pid = learner._side_by_side(os.getpid, os.getpid)
+        assert parent_pid == os.getpid() != child_pid
+        assert no_child_left()
+
+    def test_comparison_reports_match_in_turn(self, monkeypatch):
+        store, cfg = build_store(*random_store_inputs(random.Random(11), n_students=8)), TestRunComparison.CFG
+        forked = run_comparison(store, cfg).to_dict()
+        monkeypatch.delattr(os, "fork", raising=False)
+        assert run_comparison(store, cfg).to_dict() == forked
