@@ -135,13 +135,7 @@ def _cmd_features(args, file_cfg: dict) -> int:
 
 
 def _cmd_train(args, file_cfg: dict) -> int:
-    overrides = {
-        "n_rounds": args.rounds,
-        "max_depth": args.depth,
-        "learning_rate": args.lr,
-        "seed": args.seed,
-    }
-    cfg = _resolve_config(file_cfg, overrides)
+    cfg = _resolve_config(file_cfg, {"n_rounds": args.rounds, "max_depth": args.depth, "learning_rate": args.lr})
     with in_file(args.features):
         dataset = load_dataset_csv(args.features)
         model = learner.fit(dataset, cfg.gbdt)
@@ -161,9 +155,9 @@ def _cmd_evaluate(args, file_cfg: dict) -> int:
             dataset,
             decision_threshold=cfg.decision_threshold,
             importance_repeats=cfg.importance_repeats,
+            importance_seed=cfg.split_seed,
         )
-    report.config = asdict(cfg)
-    _write_json(args.report, report.to_dict())
+    _write_json(args.report, {**report.to_dict(), "config": asdict(cfg)})
     print(f"accuracy {report.accuracy:.4f} on {report.n_rows} rows; report at {args.report}")
     return EXIT_OK
 
@@ -219,7 +213,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rounds", type=int)
     p.add_argument("--depth", type=int)
     p.add_argument("--lr", type=float)
-    p.add_argument("--seed", type=int)
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("evaluate", help="evaluate a model on a feature CSV")

@@ -9,13 +9,14 @@ so no feature can leak the current attempt's score.
 from __future__ import annotations
 
 import csv
+import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .ingest import TraceStore
+from .ingest import JSON_NUMBER, PLAIN_INTEGER, TraceStore, loose_number
 from .sessionize import WindowCounts, window_counts
 from .trace_model import DataError, PipelineConfig, QuizAttempt, first_repeat, format_number
 
@@ -212,6 +213,9 @@ def load_dataset_csv(path: str | Path) -> Dataset:
         repeated = first_repeat(names)
         if repeated is not None:
             raise InvalidDataset(f"line 1: feature column {repeated!r} appears more than once")
+        # One match per row: no pattern takes a comma, so the joined fields match when each field does.
+        patterns = (PLAIN_INTEGER,) + (JSON_NUMBER,) * (len(names) + 1)
+        numbers = re.compile(",".join(p.pattern for p in patterns))
         keys, rows, labels = [], [], []
         seen = set()
         for row in reader:
@@ -220,7 +224,9 @@ def load_dataset_csv(path: str | Path) -> Dataset:
             if len(row) != len(header):
                 raise InvalidDataset(f"line {reader.line_num}: expected {len(header)} fields, got {len(row)}")
             try:
-                key = (row[0], row[1], int(row[2]))
+                if not numbers.fullmatch(",".join(row[2:])):
+                    raise ValueError(loose_number(header[2:], row[2:], patterns))
+                key = (row[0], row[1], int(row[2]))  # int() still refuses more digits than sys.get_int_max_str_digits()
                 rows.append([float(v) for v in row[3:-1]])
                 labels.append(float(row[-1]))
             except ValueError as exc:

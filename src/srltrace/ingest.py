@@ -20,10 +20,10 @@ from .trace_model import MAX_TS_MS, DataError, QuizAttempt, format_number, in_fi
 
 ATTEMPTS_HEADER = "student_id,quiz_id,attempt_index,start_ts_ms,end_ts_ms,score,max_score"
 _ATTEMPT_FIELDS = ATTEMPTS_HEADER.split(",")
-# The numeric attempt fields: three ASCII integers, then score and max_score in JSON's number grammar.
-_INTEGER = re.compile(r"-?[0-9]+")
-_JSON_NUMBER = re.compile(r"-?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?")
-_NUMBER_PATTERNS = (_INTEGER,) * 3 + (_JSON_NUMBER,) * 2
+# Numbers in both CSV inputs, attempts and features: ASCII integers, the others in JSON's number grammar.
+PLAIN_INTEGER = re.compile(r"-?[0-9]+")
+JSON_NUMBER = re.compile(r"-?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?")
+_NUMBER_PATTERNS = (PLAIN_INTEGER,) * 3 + (JSON_NUMBER,) * 2  # the numeric attempt fields
 EVENT_KINDS = ("scroll", "pageload")
 _PAGELOAD = {kind: kind == "pageload" for kind in EVENT_KINDS}
 _KIND_JSON = ('"scroll"', '"pageload"')  # indexed by the pageload flag
@@ -200,6 +200,14 @@ def _checked_chunks(stream: Iterable[str]) -> Iterator[tuple]:
         first += len(lines)
 
 
+def loose_number(names, values, patterns) -> str | None:
+    """Why the first value that its pattern does not fully match is rejected, or None."""
+    for name, value, pattern in zip(names, values, patterns):
+        if not pattern.fullmatch(value):
+            return f"field {name!r} is not a plain number: {value!r}"
+    return None
+
+
 def parse_attempts(stream: Iterable[str]) -> list[QuizAttempt]:
     """Parse the quiz attempts CSV; the header must match exactly."""
     reader = csv.reader(stream)
@@ -215,9 +223,9 @@ def parse_attempts(stream: Iterable[str]) -> list[QuizAttempt]:
             continue
         if len(row) != 7:
             raise MalformedAttempt(line_number, f"expected 7 fields, got {len(row)}")
-        for name, value, pattern in zip(_ATTEMPT_FIELDS[2:], row[2:], _NUMBER_PATTERNS):
-            if not pattern.fullmatch(value):
-                raise MalformedAttempt(line_number, f"field {name!r} is not a plain number: {value!r}")
+        loose = loose_number(_ATTEMPT_FIELDS[2:], row[2:], _NUMBER_PATTERNS)
+        if loose:
+            raise MalformedAttempt(line_number, loose)
         try:
             score, max_score = float(row[5]), float(row[6])
             if not is_finite_number(score) or not is_finite_number(max_score):

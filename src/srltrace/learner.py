@@ -24,7 +24,7 @@ from .features import BASELINE_FEATURES, Dataset, InvalidDataset, assemble_datas
 from .ingest import TraceStore
 from .trace_model import DataError, GbdtParams, InvalidConfig, PipelineConfig, first_repeat, is_finite_number
 
-MODEL_FORMAT_VERSION = 1
+MODEL_FORMAT_VERSION = 2
 BLOCK_VALUES = 1 << 15  # per presorted block of the split search (256 KiB of int64 rows): bounds its scratch arrays
 
 
@@ -333,10 +333,9 @@ class EvalReport:
     n_rows: int
     gain_importance: dict[str, float]
     permutation_importance: dict[str, float]
-    config: dict | None = None
 
     def to_dict(self) -> dict:
-        out = {
+        return {
             "accuracy": self.accuracy,
             "precision": self.precision,
             "recall": self.recall,
@@ -348,9 +347,6 @@ class EvalReport:
                 "permutation": self.permutation_importance,
             },
         }
-        if self.config is not None:
-            out["config"] = self.config
-        return out
 
 
 def confusion_counts(y_true: np.ndarray, y_pred: np.ndarray) -> dict[str, int]:
@@ -454,14 +450,13 @@ def evaluate(
     dataset: Dataset,
     decision_threshold: float = 0.5,
     importance_repeats: int = 20,
-    importance_seed: int | None = None,
+    importance_seed: int = 7,
 ) -> EvalReport:
     """Threshold predictions, compute the confusion matrix and importances."""
     X, y = _scored_arrays(model, dataset)
     pred = (predict_proba_matrix(model, X) >= decision_threshold).astype(float)
     conf = confusion_counts(y, pred)
     accuracy, precision, recall, f1 = _metrics(conf)
-    seed = model.params.seed if importance_seed is None else importance_seed
     return EvalReport(
         accuracy=accuracy,
         precision=precision,
@@ -471,7 +466,7 @@ def evaluate(
         n_rows=len(y),
         gain_importance=gain_importance(model),
         permutation_importance=permutation_importance(
-            model, dataset, repeats=importance_repeats, seed=seed, threshold=decision_threshold
+            model, dataset, repeats=importance_repeats, seed=importance_seed, threshold=decision_threshold
         ),
     )
 
@@ -481,8 +476,6 @@ class ComparisonReport:
     baseline: EvalReport
     srl: EvalReport
     accuracy_delta: float
-    split_seed: int
-    test_fraction: float
     train_students: list[str]
     test_students: list[str]
     config: dict
@@ -493,8 +486,6 @@ class ComparisonReport:
             "srl": self.srl.to_dict(),
             "accuracy_delta": self.accuracy_delta,
             "split": {
-                "seed": self.split_seed,
-                "test_fraction": self.test_fraction,
                 "train_students": self.train_students,
                 "test_students": self.test_students,
             },
@@ -585,8 +576,6 @@ def run_comparison(store: TraceStore, cfg: PipelineConfig) -> ComparisonReport:
         baseline=baseline,
         srl=srl,
         accuracy_delta=srl.accuracy - baseline.accuracy,
-        split_seed=cfg.split_seed,
-        test_fraction=cfg.test_fraction,
         train_students=train_students,
         test_students=test_students,
         config=asdict(cfg),
@@ -607,7 +596,8 @@ def model_from_dict(obj) -> GbdtModel:
     """Rebuild a model, rejecting anything `model_to_dict` does not write."""
     expected = {"format_version", "feature_names", "base_score_logit", "params", "trees"}
     if not isinstance(obj, dict) or obj.keys() != expected or obj["format_version"] != MODEL_FORMAT_VERSION:
-        raise InvalidModel(f"expected a JSON object with the keys {sorted(expected)} and format_version 1")
+        raise InvalidModel(f"expected a JSON object with the keys {sorted(expected)} and format_version "
+                           f"{MODEL_FORMAT_VERSION}; re-run `srltrace train`")
     names, params, trees = obj["feature_names"], obj["params"], obj["trees"]
     if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
         raise InvalidModel("feature_names must be a list of strings")

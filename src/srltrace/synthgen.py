@@ -93,6 +93,8 @@ class GenConfig:
             raise InvalidConfig("signal_strength must be in [0, 1]")
         if self.noise < 0:
             raise InvalidConfig("noise must be >= 0")
+        if self.seed < 0:
+            raise InvalidConfig("seed must be >= 0")
 
 
 @dataclass

@@ -168,7 +168,6 @@ class GbdtParams:
     learning_rate: float = 0.1
     lambda_l2: float = 1.0
     min_child_weight: float = 1.0
-    seed: int = 7
 
     def __post_init__(self) -> None:
         _check_types(self)
@@ -182,8 +181,6 @@ class GbdtParams:
             raise InvalidConfig("lambda_l2 must be >= 0")
         if self.min_child_weight < 0:
             raise InvalidConfig("min_child_weight must be >= 0")
-        if self.seed < 0:
-            raise InvalidConfig("seed must be >= 0")
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ import pytest
 from helpers import no_child_left
 from srltrace import learner
 from srltrace.cli import CONFIG_ENV_VAR, run
-from srltrace.features import BASELINE_FEATURES
+from srltrace.features import BASELINE_FEATURES, load_dataset_csv
 
 
 def _digest(path):
@@ -74,7 +74,8 @@ class TestPipelineStages:
         report = tmp_path / "cmp.json"
         assert run(["compare", "--store", str(store_dir), "--report", str(report), "--seed", "7"]) == 0
         obj = json.loads(report.read_text())
-        assert obj["split"]["seed"] == 7
+        assert obj["config"]["split_seed"] == 7
+        assert list(obj["split"]) == ["train_students", "test_students"]  # the split's settings are in config
         assert set(obj["split"]["train_students"]).isdisjoint(obj["split"]["test_students"])
         assert obj["accuracy_delta"] == pytest.approx(
             obj["srl"]["accuracy"] - obj["baseline"]["accuracy"]
@@ -132,13 +133,40 @@ class TestExitCodes:
         assert str(attempts) in err and "line 2" in err
         assert not (tmp_path / "store").exists()
 
+    @pytest.mark.parametrize("field, value", [
+        ("attempt_index", "1_0"),
+        ("reading_sessions", "\u0661"),
+        ("reading_sessions", " 2 "),
+        ("label", "1_0"),
+    ], ids=["underscore_index", "arabic_digit_feature", "spaced_feature", "underscore_label"])
+    @pytest.mark.parametrize("stage", ["train", "evaluate"])
+    def test_loose_number_in_features_names_file_and_line(self, trained, tmp_path, capsys, stage, field, value):
+        feats, model = trained
+        lines = feats.read_text(encoding="utf-8").splitlines(keepends=True)
+        row = lines[1].rstrip("\n").split(",")
+        row[lines[0].rstrip("\n").split(",").index(field)] = value
+        loose = tmp_path / "loose.csv"
+        loose.write_text("".join([lines[0], ",".join(row) + "\n", *lines[2:]]), encoding="utf-8")
+        out = tmp_path / "out.json"
+        argv = {
+            "train": ["train", "--features", str(loose), "--model", str(out), "--rounds", "2"],
+            "evaluate": ["evaluate", "--model", str(model), "--features", str(loose), "--report", str(out)],
+        }[stage]
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert f"{loose}: line 2: field {field!r} is not a plain number: {value!r}" in err
+        assert not out.exists()
+
     def test_missing_input_file_is_data_error(self, tmp_path):
         code = run(["ingest", "--events", str(tmp_path / "nope.jsonl"),
                     "--attempts", str(tmp_path / "nope.csv"), "--out", str(tmp_path / "s")])
         assert code == 2
 
-    def test_invalid_generator_config_is_usage_error(self, tmp_path):
+    def test_invalid_generator_config_is_usage_error(self, tmp_path, capsys):
         assert run(["synth", "--out", str(tmp_path / "d"), "--students", "0"]) == 1
+        assert run(["synth", "--out", str(tmp_path / "d"), "--seed", "-1"]) == 1
+        assert capsys.readouterr().err.endswith("error: seed must be >= 0\n")
+        assert not (tmp_path / "d").exists()
 
     def test_nan_max_score_is_data_error_and_writes_no_store(self, cohort_dir, tmp_path, capsys):
         attempts = tmp_path / "attempts.csv"
@@ -235,6 +263,12 @@ class TestExitCodes:
         assert str(reversed_csv) in err and "differ" in err
         assert not (tmp_path / "r.json").exists()
 
+    def test_train_seed_flag_is_usage_error(self, trained, tmp_path, capsys):
+        code = run(["train", "--features", str(trained[0]), "--model", str(tmp_path / "m.json"), "--seed", "3"])
+        assert code == 1
+        assert "--seed" in capsys.readouterr().err
+        assert not (tmp_path / "m.json").exists()
+
     def test_train_rejects_repeated_feature_column(self, trained, tmp_path, capsys):
         feats, _ = trained
         header, rest = feats.read_text().split("\n", 1)
@@ -285,6 +319,7 @@ class TestExitCodes:
         ("feature_index_99", "out of range"),
         ("unknown_param", "params"),
         ("node_without_r", "tree node"),
+        ("format_1_with_seed", "format_version 2; re-run `srltrace train`"),
     ])
     def test_corrupt_model_is_data_error(self, trained, tmp_path, capsys, corrupt, message):
         feats, model = trained
@@ -294,6 +329,9 @@ class TestExitCodes:
             split["f"] = 99
         elif corrupt == "unknown_param":
             obj["params"]["bogus"] = 1
+        elif corrupt == "format_1_with_seed":  # as `train` wrote it before the seed left the model
+            obj["format_version"] = 1
+            obj["params"]["seed"] = 7
         else:
             del split["r"]
         bad = tmp_path / "model.json"
@@ -325,8 +363,8 @@ class TestConfigFile:
         assert run(["compare", "--store", str(store_dir), "--report", str(report)]) == 0
         assert json.loads(report.read_text())["config"]["test_fraction"] == 0.5
 
-    @pytest.mark.parametrize("key, value", [("not_a_key", 1), ("feature_set", "srl")],
-                             ids=["not_a_key", "feature_set"])
+    @pytest.mark.parametrize("key, value", [("not_a_key", 1), ("feature_set", "srl"), ("seed", 3)],
+                             ids=["not_a_key", "feature_set", "seed"])
     def test_unknown_config_key_is_usage_error(self, store_dir, tmp_path, capsys, key, value):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({key: value}))
@@ -334,7 +372,20 @@ class TestConfigFile:
                     "--report", str(tmp_path / "r.json")])
         assert code == 1
         err = capsys.readouterr().err
-        assert key in err and str(cfg) in err
+        assert f"unknown config keys [{key!r}]" in err and str(cfg) in err
+
+    def test_split_seed_seeds_evaluate_permutation_importance(self, trained, tmp_path):
+        feats, model = trained
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"split_seed": 3}))
+        report = tmp_path / "r.json"
+        assert run(["--config", str(cfg), "evaluate", "--model", str(model), "--features", str(feats),
+                    "--report", str(report)]) == 0
+        obj = json.loads(report.read_text())
+        ds, fitted = load_dataset_csv(feats), learner.load_model(model)
+        assert obj["feature_importance"]["permutation"] == learner.permutation_importance(fitted, ds, seed=3)
+        assert obj["feature_importance"]["permutation"] != learner.permutation_importance(fitted, ds, seed=7)
+        assert obj["config"]["split_seed"] == 3
 
 
     def test_zero_hessian_leaf_without_l2_is_data_error(self, tmp_path, capsys):
@@ -526,9 +577,9 @@ HEADLINE_SHA256 = {
     "sessions.csv": "e8a5527daca54f4101c219ab432ea84a661e391555969e82e69bd17b2eee0a06",
     "srl.csv": "4bde3a539d601cc4370f18314f7adb6f34851ce325762d60913f921b30867b53",
     "baseline.csv": "aa5f2182467330b4ad10349d261b1b0bca78cb8ed7753327f364024dbd8bb5e6",
-    "model.json": "7f1e4e509565679d5977aab49afd4a4d67d80c83d9e5459b5bea980d28fc3dea",
-    "eval.json": "38e5f043758222b31014b5ab66da355be06a3dfbc53118841f11b8a1aa1cad75",
-    "compare.json": "e0b3b012cadfd95a2986d1129198eea022f2a1de42837373cbe4d0d02ea66560",
+    "model.json": "131fea6107224431b423053882f777eefd35e69390c0f83ebe006e12467fb6be",
+    "eval.json": "e9ee78b41f754b02693532998abd55142dc0bf77a514254bb6145e315b040a83",
+    "compare.json": "ead2ec5813087eb0707f6d6595086f34f1dda4fe5d48767fb8a3e05705081219",
     "store/events.jsonl": "13b14c1f90ef9eee06cfd5341ff97914e1a6a9155d68ee8855fd787f44eb20d9",
     "store/attempts.csv": "f4e6ff5b6ccd44d73986f1692071f62cb61e8c226f30998e867d0408cc8596be",
 }

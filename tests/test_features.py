@@ -1,9 +1,12 @@
 """Feature engineering fixtures, leakage properties, and dataset assembly."""
 
 import random
+import re
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from helpers import Event, mutate_score, random_store_inputs
 from srltrace.features import (
@@ -18,8 +21,8 @@ from srltrace.features import (
     save_dataset_csv,
     srl_features,
 )
-from srltrace.ingest import build_store
-from srltrace.trace_model import PipelineConfig, QuizAttempt
+from srltrace.ingest import JSON_NUMBER, build_store
+from srltrace.trace_model import PipelineConfig, QuizAttempt, format_number
 
 CFG = PipelineConfig()
 
@@ -295,6 +298,43 @@ class TestCsvRoundTrip:
         path.write_text("".join(lines + lines[1:3]))  # rows of ('s1', 'q1', 1) and 2 again, as lines 9 and 10
         with pytest.raises(InvalidDataset, match=r"line 9: .*\('s1', 'q1', 1\)"):
             load_dataset_csv(path)
+
+    @pytest.mark.parametrize("column, value", [
+        (2, "1_0"), (2, "+1"), (2, "1.0"), (3, "1_0"), (3, "\u0661"), (3, " 2 "), (3, "nan"), (3, "inf"),
+        (3, ".5"), (3, "01"), (-1, "1_0"), (-1, "\uff11"),
+    ])
+    def test_loose_number_rejected_at_its_line(self, tmp_path, column, value):
+        path = tmp_path / "ds.csv"
+        save_dataset_csv(assemble_dataset(_seven_attempt_store(), "srl", CFG), path)
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        name = lines[0].rstrip("\n").split(",")[column]
+        row = lines[2].rstrip("\n").split(",")
+        row[column] = value
+        path.write_text("".join([*lines[:2], ",".join(row) + "\n", *lines[3:]]), encoding="utf-8")
+        message = f"line 3: field {name!r} is not a plain number: {value!r}"
+        with pytest.raises(InvalidDataset, match=f"^{re.escape(message)}$"):
+            load_dataset_csv(path)
+
+    @given(st.floats(allow_nan=False, allow_infinity=False))
+    def test_every_written_number_reads_back(self, value):
+        written = format_number(value)
+        assert JSON_NUMBER.fullmatch(written) and float(written) == value
+
+    @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(), reason="no int digit limit")
+    def test_attempt_index_beyond_the_int_digit_limit_rejected_at_its_line(self, tmp_path):
+        path = tmp_path / "ds.csv"
+        path.write_text("student_id,quiz_id,attempt_index,a,label\n"
+                        f"s1,q1,1,0,1\ns1,q1,{'9' * (sys.get_int_max_str_digits() + 1)},0,1\n", encoding="utf-8")
+        with pytest.raises(InvalidDataset, match="^line 3: Exceeds the limit"):
+            load_dataset_csv(path)
+
+    def test_json_number_forms_accepted(self, tmp_path):
+        path = tmp_path / "ds.csv"
+        path.write_text("student_id,quiz_id,attempt_index,a,b,c,label\n"
+                        "s1,q1,-0,-0.5,1e-05,2.5E+3,1\n", encoding="utf-8")
+        ds = load_dataset_csv(path)
+        assert ds.keys == (("s1", "q1", 0),)
+        assert ds.X.tolist() == [[-0.5, 1e-05, 2500.0]] and ds.y.tolist() == [1.0]
 
     def test_save_is_byte_deterministic(self, tmp_path):
         ds = assemble_dataset(_seven_attempt_store(), "srl", CFG)

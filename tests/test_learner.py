@@ -219,7 +219,7 @@ class TestFit:
             model = fit(ds, params)
         model_bytes = (json.dumps(model_to_dict(model)) + "\n").encode()
         assert hashlib.sha256(model_bytes).hexdigest() == (
-            "6ac1b99049361021bd8ae9c53492bbeb7dd45f633dc2bce3bed3756938ff6100"
+            "282347fefbd6c0faf8ee170f3b75fa9c7fa315af008ad888c4b14f79ff6cc890"
         )
 
     def test_deterministic(self):
