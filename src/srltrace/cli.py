@@ -10,13 +10,12 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 import traceback
 from dataclasses import asdict, fields
 
 from . import learner, synthgen
-from .features import assemble_dataset, load_dataset_csv, save_dataset_csv
+from .features import FEATURE_SETS, assemble_dataset, load_dataset_csv, save_dataset_csv
 from .ingest import build_store, load_store, parse_attempts, parse_events, save_store
 from .sessionize import segment_sessions
 from .trace_model import DataError, GbdtParams, InvalidConfig, PipelineConfig, SessionizerConfig, in_file
@@ -26,16 +25,12 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_INTERNAL = 3
 
-CONFIG_ENV_VAR = "SRL_TRACE_CONFIG"
-
 _SESSIONIZER_KEYS = {f.name for f in fields(SessionizerConfig)}
 _GBDT_KEYS = {f.name for f in fields(GbdtParams)}
 _PIPELINE_KEYS = {f.name for f in fields(PipelineConfig)} - {"sessionizer", "gbdt"}
 
 
 def _load_config_file(path: str | None) -> dict:
-    if path is None:
-        path = os.environ.get(CONFIG_ENV_VAR)
     if not path:
         return {}
     with in_file(path), open(path, "r", encoding="utf-8") as fh:
@@ -157,7 +152,9 @@ def _cmd_evaluate(args, file_cfg: dict) -> int:
             importance_repeats=cfg.importance_repeats,
             importance_seed=cfg.split_seed,
         )
-    _write_json(args.report, {**report.to_dict(), "config": asdict(cfg)})
+    read = {"decision_threshold": cfg.decision_threshold, "split_seed": cfg.split_seed,
+            "importance_repeats": cfg.importance_repeats}
+    _write_json(args.report, {**asdict(report), "config": read})
     print(f"accuracy {report.accuracy:.4f} on {report.n_rows} rows; report at {args.report}")
     return EXIT_OK
 
@@ -167,7 +164,7 @@ def _cmd_compare(args, file_cfg: dict) -> int:
     store = load_store(args.store)
     with in_file(args.store):
         report = learner.run_comparison(store, cfg)
-    _write_json(args.report, report.to_dict())
+    _write_json(args.report, asdict(report))
     print(
         f"baseline {report.baseline.accuracy:.4f}, srl {report.srl.accuracy:.4f}, "
         f"delta {report.accuracy_delta:+.4f}; report at {args.report}"
@@ -203,7 +200,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("features", help="emit the labeled feature matrix CSV")
     p.add_argument("--store", required=True)
-    p.add_argument("--set", required=True, choices=["baseline", "srl"])
+    p.add_argument("--set", required=True, choices=FEATURE_SETS)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_features)
 

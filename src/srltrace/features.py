@@ -9,6 +9,7 @@ so no feature can leak the current attempt's score.
 from __future__ import annotations
 
 import csv
+import math
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -39,6 +40,8 @@ SRL_FEATURES = [
     "quiz_time_diff",
     "quiz_time_longer",
 ]
+
+FEATURE_SETS = {"baseline": BASELINE_FEATURES, "srl": BASELINE_FEATURES + SRL_FEATURES}
 
 # Fig-2-style phase tags, kept as metadata only.
 SRL_PHASE_TAGS = {
@@ -158,14 +161,6 @@ class Dataset:
         return Dataset(self.keys, tuple(names), np.ascontiguousarray(self.X[:, idx]), self.y)
 
 
-def feature_columns(feature_set: str, srl_only: bool = False) -> list[str]:
-    if feature_set == "baseline":
-        return list(BASELINE_FEATURES)
-    if feature_set == "srl":
-        return list(SRL_FEATURES) if srl_only else BASELINE_FEATURES + SRL_FEATURES
-    raise ValueError(f"unknown feature set {feature_set!r}")
-
-
 def assemble_dataset(store: TraceStore, feature_set: str, cfg: PipelineConfig) -> Dataset:
     """One labeled row per attempt, sorted by (student_id, quiz_id, attempt_index).
 
@@ -176,7 +171,7 @@ def assemble_dataset(store: TraceStore, feature_set: str, cfg: PipelineConfig) -
     attempts = store.all_attempts()
     if not attempts:
         raise EmptyStore("store contains no quiz attempts")
-    names = feature_columns("srl")
+    names = FEATURE_SETS["srl"]
 
     keys, rows, labels = [], [], []
     prev_window = WindowCounts(0, 0, 0, 0, 0)
@@ -187,7 +182,7 @@ def assemble_dataset(store: TraceStore, feature_set: str, cfg: PipelineConfig) -
         rows.append([values[c] for c in names])
         labels.append(label_attempt(att, cfg))
     full = Dataset(tuple(keys), tuple(names), np.array(rows, dtype=float), np.array(labels, dtype=float))
-    ds = full.select(feature_columns(feature_set, cfg.srl_only))
+    ds = full.select(FEATURE_SETS[feature_set])
     finite = np.isfinite(ds.X).all(axis=1)
     if not finite.all():
         raise InvalidDataset(f"non-finite feature value for attempt {ds.keys[int(np.argmin(finite))]}")
@@ -227,8 +222,15 @@ def load_dataset_csv(path: str | Path) -> Dataset:
                 if not numbers.fullmatch(",".join(row[2:])):
                     raise ValueError(loose_number(header[2:], row[2:], patterns))
                 key = (row[0], row[1], int(row[2]))  # int() still refuses more digits than sys.get_int_max_str_digits()
-                rows.append([float(v) for v in row[3:-1]])
-                labels.append(float(row[-1]))
+                values = [float(v) for v in row[3:-1]]
+                if not all(map(math.isfinite, values)):
+                    name, text = next((n, t) for n, t, v in zip(names, row[3:-1], values) if not math.isfinite(v))
+                    raise ValueError(f"field {name!r} is out of range for a float: {text!r}")
+                label = float(row[-1])
+                if label not in (0.0, 1.0):
+                    raise ValueError(f"label must be 0 or 1, got {row[-1]!r}")
+                rows.append(values)
+                labels.append(label)
             except ValueError as exc:
                 raise InvalidDataset(f"line {reader.line_num}: {exc}") from None
             if key in seen:

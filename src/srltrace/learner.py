@@ -15,16 +15,16 @@ import os
 import pickle
 import traceback
 import warnings
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
-from .features import BASELINE_FEATURES, Dataset, InvalidDataset, assemble_dataset, feature_columns
+from .features import BASELINE_FEATURES, Dataset, InvalidDataset, assemble_dataset
 from .ingest import TraceStore
 from .trace_model import DataError, GbdtParams, InvalidConfig, PipelineConfig, first_repeat, is_finite_number
 
-MODEL_FORMAT_VERSION = 2
+MODEL_FORMAT_VERSION = 3
 BLOCK_VALUES = 1 << 15  # per presorted block of the split search (256 KiB of int64 rows): bounds its scratch arrays
 
 
@@ -55,7 +55,7 @@ class TreeNode:
     left: "TreeNode | None" = None
     right: "TreeNode | None" = None
     value: float | None = None
-    gain: float = field(default=0.0, compare=False)  # split gain; training metadata, not serialized
+    gain: float = field(default=0.0, compare=False)  # split gain, saved as "g" for gain importance
 
     @property
     def is_leaf(self) -> bool:
@@ -67,6 +67,7 @@ class TreeNode:
         return {
             "f": self.feature_index,
             "t": self.threshold,
+            "g": self.gain,
             "l": self.left.to_dict(),
             "r": self.right.to_dict(),
         }
@@ -75,8 +76,8 @@ class TreeNode:
     def from_dict(obj) -> "TreeNode":
         if isinstance(obj, dict) and obj.keys() == {"v"}:
             return TreeNode(value=_finite_float(obj["v"], "leaf value"))
-        if not isinstance(obj, dict) or obj.keys() != {"f", "t", "l", "r"}:
-            raise InvalidModel(f"tree node {str(obj)[:60]} has neither the keys {{v}} nor {{f, t, l, r}}")
+        if not isinstance(obj, dict) or obj.keys() != {"f", "t", "g", "l", "r"}:
+            raise InvalidModel(f"tree node {str(obj)[:60]} has neither the keys {{v}} nor {{f, t, g, l, r}}")
         if type(obj["f"]) is not int:
             raise InvalidModel(f"feature_index must be an integer, got {obj['f']!r}")
         return TreeNode(
@@ -84,6 +85,7 @@ class TreeNode:
             threshold=_finite_float(obj["t"], "threshold"),
             left=TreeNode.from_dict(obj["l"]),
             right=TreeNode.from_dict(obj["r"]),
+            gain=_finite_float(obj["g"], "gain"),
         )
 
 
@@ -331,22 +333,7 @@ class EvalReport:
     f1: float
     confusion: dict[str, int]
     n_rows: int
-    gain_importance: dict[str, float]
-    permutation_importance: dict[str, float]
-
-    def to_dict(self) -> dict:
-        return {
-            "accuracy": self.accuracy,
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1": self.f1,
-            "confusion": self.confusion,
-            "n_rows": self.n_rows,
-            "feature_importance": {
-                "gain": self.gain_importance,
-                "permutation": self.permutation_importance,
-            },
-        }
+    feature_importance: dict[str, dict[str, float]]  # {"gain": ..., "permutation": ...}
 
 
 def confusion_counts(y_true: np.ndarray, y_pred: np.ndarray) -> dict[str, int]:
@@ -464,10 +451,12 @@ def evaluate(
         f1=f1,
         confusion=conf,
         n_rows=len(y),
-        gain_importance=gain_importance(model),
-        permutation_importance=permutation_importance(
-            model, dataset, repeats=importance_repeats, seed=importance_seed, threshold=decision_threshold
-        ),
+        feature_importance={
+            "gain": gain_importance(model),
+            "permutation": permutation_importance(
+                model, dataset, repeats=importance_repeats, seed=importance_seed, threshold=decision_threshold
+            ),
+        },
     )
 
 
@@ -476,21 +465,8 @@ class ComparisonReport:
     baseline: EvalReport
     srl: EvalReport
     accuracy_delta: float
-    train_students: list[str]
-    test_students: list[str]
-    config: dict
-
-    def to_dict(self) -> dict:
-        return {
-            "baseline": self.baseline.to_dict(),
-            "srl": self.srl.to_dict(),
-            "accuracy_delta": self.accuracy_delta,
-            "split": {
-                "train_students": self.train_students,
-                "test_students": self.test_students,
-            },
-            "config": self.config,
-        }
+    split: dict[str, list[str]]  # {"train_students": ..., "test_students": ...}
+    config: PipelineConfig
 
 
 def _side_by_side(first, second) -> tuple:
@@ -560,8 +536,8 @@ def run_comparison(store: TraceStore, cfg: PipelineConfig) -> ComparisonReport:
     The branches share nothing after the split, so the baseline's fit and evaluate run in a
     forked child while this process runs the SRL set's (see `_side_by_side`).
     """
-    full = assemble_dataset(store, "srl", replace(cfg, srl_only=False))
-    base_ds, srl_ds = full.select(BASELINE_FEATURES), full.select(feature_columns("srl", cfg.srl_only))
+    srl_ds = assemble_dataset(store, "srl", cfg)
+    base_ds = srl_ds.select(BASELINE_FEATURES)
     train_students, test_students = split_students(
         base_ds.student_ids, cfg.test_fraction, cfg.split_seed
     )
@@ -576,9 +552,8 @@ def run_comparison(store: TraceStore, cfg: PipelineConfig) -> ComparisonReport:
         baseline=baseline,
         srl=srl,
         accuracy_delta=srl.accuracy - baseline.accuracy,
-        train_students=train_students,
-        test_students=test_students,
-        config=asdict(cfg),
+        split={"train_students": train_students, "test_students": test_students},
+        config=cfg,
     )
 
 

@@ -13,7 +13,7 @@ tests.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -338,14 +338,7 @@ def generate_cohort(cfg: GenConfig) -> Cohort:
         students[f"s{i + 1:03d}"] = st
         rows.extend(tr)
     truth = {
-        "config": {
-            "n_students": cfg.n_students,
-            "n_quizzes": cfg.n_quizzes,
-            "max_attempts": cfg.max_attempts,
-            "signal_strength": cfg.signal_strength,
-            "noise": cfg.noise,
-            "seed": cfg.seed,
-        },
+        "config": asdict(cfg),
         "students": students,
         "attempts": rows,
     }

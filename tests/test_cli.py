@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import re
 import shutil
 import warnings
 
@@ -10,8 +11,9 @@ import pytest
 
 from helpers import no_child_left
 from srltrace import learner
-from srltrace.cli import CONFIG_ENV_VAR, run
+from srltrace.cli import run
 from srltrace.features import BASELINE_FEATURES, load_dataset_csv
+from srltrace.trace_model import GbdtParams
 
 
 def _digest(path):
@@ -67,8 +69,17 @@ class TestPipelineStages:
         assert run(["evaluate", "--model", str(model), "--features", str(feats), "--report", str(report)]) == 0
         obj = json.loads(report.read_text())
         assert 0.0 <= obj["accuracy"] <= 1.0
-        assert obj["config"]["gbdt"]["n_rounds"] == 100  # evaluate echoes defaults
+        # evaluate echoes only the settings it reads; the model's are in its file
+        assert list(obj["config"].items()) == [("decision_threshold", 0.5), ("split_seed", 7), ("importance_repeats", 20)]
         assert "permutation" in obj["feature_importance"]
+
+    def test_evaluate_reports_the_gain_importance_of_the_fit(self, trained, tmp_path):
+        feats, model = trained
+        report = tmp_path / "report.json"
+        assert run(["evaluate", "--model", str(model), "--features", str(feats), "--report", str(report)]) == 0
+        gains = json.loads(report.read_text())["feature_importance"]["gain"]
+        assert gains == learner.gain_importance(learner.fit(load_dataset_csv(feats), GbdtParams(n_rounds=5)))
+        assert max(gains.values()) > 0
 
     def test_compare_writes_report_with_config_echo(self, store_dir, tmp_path):
         report = tmp_path / "cmp.json"
@@ -87,6 +98,26 @@ class TestPipelineStages:
         run(["compare", "--store", str(store_dir), "--report", str(tmp_path / "r.json")])
         after = {p.name: _digest(p) for p in store_dir.iterdir()}
         assert before == after
+
+
+def _run_on_edited_features(trained, tmp_path, stage, line, field, value):
+    """Run `stage` on the trained features CSV with `field` of line `line` set to `value`; it must exit 2
+    and write nothing. Returns the edited file."""
+    feats, model = trained
+    lines = feats.read_text(encoding="utf-8").splitlines(keepends=True)
+    row = lines[line - 1].rstrip("\n").split(",")
+    row[lines[0].rstrip("\n").split(",").index(field)] = value
+    lines[line - 1] = ",".join(row) + "\n"
+    edited = tmp_path / "edited.csv"
+    edited.write_text("".join(lines), encoding="utf-8")
+    out = tmp_path / "out.json"
+    argv = {
+        "train": ["train", "--features", str(edited), "--model", str(out), "--rounds", "2"],
+        "evaluate": ["evaluate", "--model", str(model), "--features", str(edited), "--report", str(out)],
+    }[stage]
+    assert run(argv) == 2
+    assert not out.exists()
+    return edited
 
 
 class TestExitCodes:
@@ -141,21 +172,18 @@ class TestExitCodes:
     ], ids=["underscore_index", "arabic_digit_feature", "spaced_feature", "underscore_label"])
     @pytest.mark.parametrize("stage", ["train", "evaluate"])
     def test_loose_number_in_features_names_file_and_line(self, trained, tmp_path, capsys, stage, field, value):
-        feats, model = trained
-        lines = feats.read_text(encoding="utf-8").splitlines(keepends=True)
-        row = lines[1].rstrip("\n").split(",")
-        row[lines[0].rstrip("\n").split(",").index(field)] = value
-        loose = tmp_path / "loose.csv"
-        loose.write_text("".join([lines[0], ",".join(row) + "\n", *lines[2:]]), encoding="utf-8")
-        out = tmp_path / "out.json"
-        argv = {
-            "train": ["train", "--features", str(loose), "--model", str(out), "--rounds", "2"],
-            "evaluate": ["evaluate", "--model", str(model), "--features", str(loose), "--report", str(out)],
-        }[stage]
-        assert run(argv) == 2
-        err = capsys.readouterr().err
-        assert f"{loose}: line 2: field {field!r} is not a plain number: {value!r}" in err
-        assert not out.exists()
+        edited = _run_on_edited_features(trained, tmp_path, stage, 2, field, value)
+        assert f"{edited}: line 2: field {field!r} is not a plain number: {value!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field, value, reason", [
+        ("reading_speed", "1e400", "field 'reading_speed' is out of range for a float: '1e400'"),
+        ("label", "2", "label must be 0 or 1, got '2'"),
+    ], ids=["huge_feature", "label_2"])
+    @pytest.mark.parametrize("stage", ["train", "evaluate"])
+    def test_out_of_range_number_in_features_names_file_and_line(self, trained, tmp_path, capsys, stage, field,
+                                                                value, reason):
+        edited = _run_on_edited_features(trained, tmp_path, stage, 3, field, value)
+        assert capsys.readouterr().err == f"error: {edited}: line 3: {reason}\n"
 
     def test_missing_input_file_is_data_error(self, tmp_path):
         code = run(["ingest", "--events", str(tmp_path / "nope.jsonl"),
@@ -319,7 +347,8 @@ class TestExitCodes:
         ("feature_index_99", "out of range"),
         ("unknown_param", "params"),
         ("node_without_r", "tree node"),
-        ("format_1_with_seed", "format_version 2; re-run `srltrace train`"),
+        ("format_1_with_seed", "format_version 3; re-run `srltrace train`"),
+        ("format_2_without_gains", "format_version 3; re-run `srltrace train`"),
     ])
     def test_corrupt_model_is_data_error(self, trained, tmp_path, capsys, corrupt, message):
         feats, model = trained
@@ -332,6 +361,9 @@ class TestExitCodes:
         elif corrupt == "format_1_with_seed":  # as `train` wrote it before the seed left the model
             obj["format_version"] = 1
             obj["params"]["seed"] = 7
+        elif corrupt == "format_2_without_gains":  # as `train` wrote it before the gains were saved
+            obj["format_version"] = 2
+            obj["trees"] = json.loads(re.sub(r', "g": [^,]+', "", json.dumps(obj["trees"])))
         else:
             del split["r"]
         bad = tmp_path / "model.json"
@@ -355,16 +387,8 @@ class TestConfigFile:
         assert obj["config"]["decision_threshold"] == 0.7
         assert obj["config"]["gbdt"]["n_rounds"] == 5
 
-    def test_env_var_fallback(self, store_dir, tmp_path, monkeypatch):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"test_fraction": 0.5}))
-        monkeypatch.setenv(CONFIG_ENV_VAR, str(cfg))
-        report = tmp_path / "cmp.json"
-        assert run(["compare", "--store", str(store_dir), "--report", str(report)]) == 0
-        assert json.loads(report.read_text())["config"]["test_fraction"] == 0.5
-
-    @pytest.mark.parametrize("key, value", [("not_a_key", 1), ("feature_set", "srl"), ("seed", 3)],
-                             ids=["not_a_key", "feature_set", "seed"])
+    @pytest.mark.parametrize("key, value", [("not_a_key", 1), ("feature_set", "srl"), ("seed", 3), ("srl_only", False)],
+                             ids=["not_a_key", "feature_set", "seed", "srl_only"])
     def test_unknown_config_key_is_usage_error(self, store_dir, tmp_path, capsys, key, value):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({key: value}))
@@ -577,16 +601,17 @@ HEADLINE_SHA256 = {
     "sessions.csv": "e8a5527daca54f4101c219ab432ea84a661e391555969e82e69bd17b2eee0a06",
     "srl.csv": "4bde3a539d601cc4370f18314f7adb6f34851ce325762d60913f921b30867b53",
     "baseline.csv": "aa5f2182467330b4ad10349d261b1b0bca78cb8ed7753327f364024dbd8bb5e6",
-    "model.json": "131fea6107224431b423053882f777eefd35e69390c0f83ebe006e12467fb6be",
-    "eval.json": "e9ee78b41f754b02693532998abd55142dc0bf77a514254bb6145e315b040a83",
-    "compare.json": "ead2ec5813087eb0707f6d6595086f34f1dda4fe5d48767fb8a3e05705081219",
+    "model.json": "0a2651d230f7a139c19155298a11b93d903e60a67e2af63d42df83dc61aeb8c8",
+    "eval.json": "e5af0896ae663b039b4f3f8f8706035788ff68bbbd6f461f5c9e789f76ba6a1e",
+    "compare.json": "cdaf5b4176daccdae432f54c3f58cd6c428f02711ad6fe780f48af59614ffd6b",
     "store/events.jsonl": "13b14c1f90ef9eee06cfd5341ff97914e1a6a9155d68ee8855fd787f44eb20d9",
     "store/attempts.csv": "f4e6ff5b6ccd44d73986f1692071f62cb61e8c226f30998e867d0408cc8596be",
 }
 
 
-def test_seed7_headline_chain_is_a_fixed_point(tmp_path):
-    d = tmp_path
+@pytest.fixture(scope="module")
+def headline_chain(tmp_path_factory):
+    d = tmp_path_factory.mktemp("headline")
     store = str(d / "store")
     for argv in (
         ["synth", "--out", str(d / "cohort"), "--students", "142", "--seed", "7"],
@@ -601,4 +626,19 @@ def test_seed7_headline_chain_is_a_fixed_point(tmp_path):
         ["compare", "--store", store, "--report", str(d / "compare.json"), "--seed", "7"],
     ):
         assert run(argv) == 0, argv[0]
-    assert {name: _digest(d / name) for name in HEADLINE_SHA256} == HEADLINE_SHA256
+    return d
+
+
+def test_seed7_headline_chain_is_a_fixed_point(headline_chain):
+    assert {name: _digest(headline_chain / name) for name in HEADLINE_SHA256} == HEADLINE_SHA256
+
+
+def test_seed7_compare_report_is_the_earlier_report_less_srl_only(headline_chain):
+    # Put back the config key `srl_only` (false), after decision_threshold, and the bytes are
+    # those of the report written while it was a key (sha256 ead2ec58...1219).
+    obj = json.loads((headline_chain / "compare.json").read_text())
+    items = list(obj["config"].items())
+    assert [k for k, _ in items[3:5]] == ["decision_threshold", "test_fraction"]
+    obj["config"] = dict(items[:4] + [("srl_only", False)] + items[4:])
+    earlier = (json.dumps(obj, indent=2) + "\n").encode()
+    assert hashlib.sha256(earlier).hexdigest() == "ead2ec5813087eb0707f6d6595086f34f1dda4fe5d48767fb8a3e05705081219"

@@ -167,12 +167,6 @@ class TestAssembleDataset:
         assert ds.X.shape == (7, 14)
         assert list(ds.feature_names) == BASELINE_FEATURES + SRL_FEATURES
 
-    def test_srl_only_flag(self):
-        cfg = PipelineConfig(srl_only=True)
-        ds = assemble_dataset(_seven_attempt_store(), "srl", cfg)
-        assert ds.X.shape == (7, 9)
-        assert list(ds.feature_names) == SRL_FEATURES
-
     def test_rows_sorted_by_key(self):
         ds = assemble_dataset(_seven_attempt_store(), "srl", CFG)
         assert list(ds.keys) == sorted(ds.keys)

@@ -27,7 +27,7 @@ EDITS = st.lists(
 )
 
 CONFIG = (b'{"break_gap_ms": 300000, "top_band_px": 50.0, "n_rounds": 3, "learning_rate": 0.1, '
-          b'"decision_threshold": 0.5, "srl_only": false, "split_seed": 7}\n')
+          b'"decision_threshold": 0.5, "split_seed": 7}\n')
 
 INPUTS = {"events": "events.jsonl", "attempts": "attempts.csv", "features": "features.csv",
           "model": "model.json", "config": "config.json",

@@ -9,7 +9,7 @@ import signal
 import subprocess
 import sys
 import warnings
-from dataclasses import replace
+from dataclasses import asdict
 from unittest import mock
 
 import numpy as np
@@ -18,7 +18,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from helpers import fit_per_feature, no_child_left, random_store_inputs
 from srltrace import learner
-from srltrace.features import BASELINE_FEATURES, SRL_FEATURES, Dataset
+from srltrace.features import Dataset
 from srltrace.ingest import build_store
 from srltrace.learner import (
     ArityMismatch,
@@ -219,7 +219,7 @@ class TestFit:
             model = fit(ds, params)
         model_bytes = (json.dumps(model_to_dict(model)) + "\n").encode()
         assert hashlib.sha256(model_bytes).hexdigest() == (
-            "282347fefbd6c0faf8ee170f3b75fa9c7fa315af008ad888c4b14f79ff6cc890"
+            "1a3369ae3a689ac9027033dddfe4c6fd0f540925c44ea2e950e3d01de5816788"
         )
 
     def test_deterministic(self):
@@ -763,11 +763,6 @@ class TestRunComparison:
         assert len(stream_passes) == len(students)
         assert sum(stream_passes) == sum(len(store.events_for(s)) for s in students)
 
-    def test_srl_only_reports_only_srl_columns(self):
-        report = run_comparison(self._store(), replace(self.CFG, srl_only=True))
-        assert list(report.srl.permutation_importance) == SRL_FEATURES
-        assert list(report.baseline.permutation_importance) == BASELINE_FEATURES
-
 
 def _raise(exc):
     raise exc
@@ -836,6 +831,6 @@ class TestSideBySide:
 
     def test_comparison_reports_match_in_turn(self, monkeypatch):
         store, cfg = build_store(*random_store_inputs(random.Random(11), n_students=8)), TestRunComparison.CFG
-        forked = run_comparison(store, cfg).to_dict()
+        forked = asdict(run_comparison(store, cfg))
         monkeypatch.delattr(os, "fork", raising=False)
-        assert run_comparison(store, cfg).to_dict() == forked
+        assert asdict(run_comparison(store, cfg)) == forked
