@@ -10,9 +10,6 @@ from .trace_model import (
 )
 from .ingest import (
     EventColumns,
-    InconsistentAttempts,
-    MalformedAttempt,
-    MalformedEvent,
     TraceStore,
     build_store,
     load_store,
@@ -23,7 +20,6 @@ from .ingest import (
 )
 from .sessionize import (
     ReadingWindow,
-    UnsortedInput,
     count_backscrolls,
     reading_window,
     segment_sessions,
@@ -32,7 +28,6 @@ from .features import (
     BASELINE_FEATURES,
     SRL_FEATURES,
     Dataset,
-    EmptyStore,
     assemble_dataset,
     baseline_features,
     label_attempt,
@@ -41,13 +36,9 @@ from .features import (
     srl_features,
 )
 from .learner import (
-    ArityMismatch,
     ComparisonReport,
     EvalReport,
     GbdtModel,
-    InsufficientGroups,
-    InvalidDataset,
-    InvalidModel,
     evaluate,
     fit,
     gain_importance,

@@ -57,14 +57,6 @@ SRL_PHASE_TAGS = {
 }
 
 
-class EmptyStore(DataError):
-    pass
-
-
-class InvalidDataset(DataError):
-    pass
-
-
 def label_attempt(attempt: QuizAttempt, cfg: PipelineConfig) -> int:
     """1 = pass (score fraction at or above the pass mark), 0 = fail."""
     return 1 if attempt.score_fraction >= cfg.pass_fraction else 0
@@ -170,7 +162,7 @@ def assemble_dataset(store: TraceStore, feature_set: str, cfg: PipelineConfig) -
     """
     attempts = store.all_attempts()
     if not attempts:
-        raise EmptyStore("store contains no quiz attempts")
+        raise DataError("store contains no quiz attempts")
     names = FEATURE_SETS["srl"]
 
     keys, rows, labels = [], [], []
@@ -185,7 +177,7 @@ def assemble_dataset(store: TraceStore, feature_set: str, cfg: PipelineConfig) -
     ds = full.select(FEATURE_SETS[feature_set])
     finite = np.isfinite(ds.X).all(axis=1)
     if not finite.all():
-        raise InvalidDataset(f"non-finite feature value for attempt {ds.keys[int(np.argmin(finite))]}")
+        raise DataError(f"non-finite feature value for attempt {ds.keys[int(np.argmin(finite))]}")
     return ds
 
 
@@ -203,11 +195,11 @@ def load_dataset_csv(path: str | Path) -> Dataset:
         reader = csv.reader(fh)
         header = next(reader, [])
         if header[:3] != ["student_id", "quiz_id", "attempt_index"] or len(header) < 4 or header[-1] != "label":
-            raise InvalidDataset("line 1: header must be student_id,quiz_id,attempt_index,<features...>,label")
+            raise DataError("line 1: header must be student_id,quiz_id,attempt_index,<features...>,label")
         names = tuple(header[3:-1])
         repeated = first_repeat(names)
         if repeated is not None:
-            raise InvalidDataset(f"line 1: feature column {repeated!r} appears more than once")
+            raise DataError(f"line 1: feature column {repeated!r} appears more than once")
         # One match per row: no pattern takes a comma, so the joined fields match when each field does.
         patterns = (PLAIN_INTEGER,) + (JSON_NUMBER,) * (len(names) + 1)
         numbers = re.compile(",".join(p.pattern for p in patterns))
@@ -217,7 +209,7 @@ def load_dataset_csv(path: str | Path) -> Dataset:
             if not row:
                 continue
             if len(row) != len(header):
-                raise InvalidDataset(f"line {reader.line_num}: expected {len(header)} fields, got {len(row)}")
+                raise DataError(f"line {reader.line_num}: expected {len(header)} fields, got {len(row)}")
             try:
                 if not numbers.fullmatch(",".join(row[2:])):
                     raise ValueError(loose_number(header[2:], row[2:], patterns))
@@ -232,9 +224,9 @@ def load_dataset_csv(path: str | Path) -> Dataset:
                 rows.append(values)
                 labels.append(label)
             except ValueError as exc:
-                raise InvalidDataset(f"line {reader.line_num}: {exc}") from None
+                raise DataError(f"line {reader.line_num}: {exc}") from None
             if key in seen:
-                raise InvalidDataset(
+                raise DataError(
                     f"line {reader.line_num}: attempt (student_id, quiz_id, attempt_index) {key} appears more than once"
                 )
             seen.add(key)

@@ -58,36 +58,10 @@ TABLES_FILENAME = "events.tables.json"
 COLUMN_FILES = (*(f"events.{name}.npy" for name in _COLUMN_DTYPES), TABLES_FILENAME)
 
 
-class MalformedEvent(DataError):
-    def __init__(self, line_number: int, reason: str) -> None:
-        super().__init__(f"line {line_number}: {reason}")
-        self.line_number = line_number
-        self.reason = reason
-
-
-class MalformedAttempt(DataError):
-    def __init__(self, line_number: int, reason: str) -> None:
-        super().__init__(f"line {line_number}: {reason}")
-        self.line_number = line_number
-        self.reason = reason
-
-
-class UnsortedInput(DataError):
-    pass
-
-
-class InconsistentAttempts(DataError):
-    def __init__(self, student_id: str, quiz_id: str, reason: str) -> None:
-        super().__init__(f"({student_id}, {quiz_id}): {reason}")
-        self.student_id = student_id
-        self.quiz_id = quiz_id
-        self.reason = reason
-
-
 def _require_number(obj: dict, key: str, line_number: int) -> float:
     val = obj.get(key)
     if not is_finite_number(val):
-        raise MalformedEvent(line_number, f"field {key!r} missing or not a finite number")
+        raise DataError(f"line {line_number}: field {key!r} missing or not a finite number")
     return float(val)
 
 
@@ -96,34 +70,34 @@ def _parse_line(line_number: int, line: str) -> tuple:
     try:
         obj = json.loads(line)
     except json.JSONDecodeError as exc:
-        raise MalformedEvent(line_number, f"invalid JSON: {exc.msg}") from exc
+        raise DataError(f"line {line_number}: invalid JSON: {exc.msg}") from exc
     except RecursionError:
-        raise MalformedEvent(line_number, "invalid JSON: nested too deeply") from None
+        raise DataError(f"line {line_number}: invalid JSON: nested too deeply") from None
     if not isinstance(obj, dict):
-        raise MalformedEvent(line_number, "line is not a JSON object")
+        raise DataError(f"line {line_number}: line is not a JSON object")
     student_id = obj.get("student_id")
     object_id = obj.get("object_id")
     if not isinstance(student_id, str):
-        raise MalformedEvent(line_number, "field 'student_id' missing or not a string")
+        raise DataError(f"line {line_number}: field 'student_id' missing or not a string")
     if not isinstance(object_id, str):
-        raise MalformedEvent(line_number, "field 'object_id' missing or not a string")
+        raise DataError(f"line {line_number}: field 'object_id' missing or not a string")
     ts_ms = obj.get("ts_ms")
     if isinstance(ts_ms, bool) or not isinstance(ts_ms, int):
-        raise MalformedEvent(line_number, "field 'ts_ms' missing or not an integer")
+        raise DataError(f"line {line_number}: field 'ts_ms' missing or not an integer")
     scroll_y = _require_number(obj, "scroll_y", line_number)
     page_height = _require_number(obj, "page_height", line_number) if "page_height" in obj else None
     kind = obj.get("event", "scroll")
     if not 0 <= ts_ms < MAX_TS_MS:
-        raise MalformedEvent(line_number, f"ts_ms must be in [0, 2**63), got {ts_ms}")
+        raise DataError(f"line {line_number}: ts_ms must be in [0, 2**63), got {ts_ms}")
     if scroll_y < 0:
-        raise MalformedEvent(line_number, f"scroll_y must be >= 0, got {scroll_y}")
+        raise DataError(f"line {line_number}: scroll_y must be >= 0, got {scroll_y}")
     if page_height is not None:
         if page_height <= 0:
-            raise MalformedEvent(line_number, f"page_height must be > 0, got {page_height}")
+            raise DataError(f"line {line_number}: page_height must be > 0, got {page_height}")
         if scroll_y > page_height:
-            raise MalformedEvent(line_number, f"scroll_y {scroll_y} exceeds page_height {page_height}")
+            raise DataError(f"line {line_number}: scroll_y {scroll_y} exceeds page_height {page_height}")
     if kind not in EVENT_KINDS:
-        raise MalformedEvent(line_number, f"kind must be one of {EVENT_KINDS}, got {kind!r}")
+        raise DataError(f"line {line_number}: kind must be one of {EVENT_KINDS}, got {kind!r}")
     return student_id, object_id, ts_ms, scroll_y, page_height, kind
 
 
@@ -214,18 +188,18 @@ def parse_attempts(stream: Iterable[str]) -> list[QuizAttempt]:
     try:
         header = next(reader)
     except StopIteration:
-        raise MalformedAttempt(1, "missing header row") from None
+        raise DataError("line 1: missing header row") from None
     if ",".join(header) != ATTEMPTS_HEADER:
-        raise MalformedAttempt(1, f"bad header, expected {ATTEMPTS_HEADER!r}")
+        raise DataError(f"line 1: bad header, expected {ATTEMPTS_HEADER!r}")
     attempts: list[QuizAttempt] = []
     for line_number, row in enumerate(reader, start=2):
         if not row:
             continue
         if len(row) != 7:
-            raise MalformedAttempt(line_number, f"expected 7 fields, got {len(row)}")
+            raise DataError(f"line {line_number}: expected 7 fields, got {len(row)}")
         loose = loose_number(_ATTEMPT_FIELDS[2:], row[2:], _NUMBER_PATTERNS)
         if loose:
-            raise MalformedAttempt(line_number, loose)
+            raise DataError(f"line {line_number}: {loose}")
         try:
             score, max_score = float(row[5]), float(row[6])
             if not is_finite_number(score) or not is_finite_number(max_score):
@@ -233,7 +207,7 @@ def parse_attempts(stream: Iterable[str]) -> list[QuizAttempt]:
             # The fields in the order of ATTEMPTS_HEADER.
             attempts.append(QuizAttempt(row[0], row[1], int(row[2]), int(row[3]), int(row[4]), score, max_score))
         except ValueError as exc:
-            raise MalformedAttempt(line_number, str(exc)) from exc
+            raise DataError(f"line {line_number}: {exc}") from exc
     return attempts
 
 
@@ -269,13 +243,13 @@ class EventColumns:
 
 
 def check_sorted(cols: EventColumns) -> None:
-    """Raise UnsortedInput unless student codes ascend and each student's ts_ms never decreases."""
+    """Raise DataError unless student codes ascend and each student's ts_ms never decreases."""
     code, ts = cols.student_code, cols.ts_ms
     same = code[1:] == code[:-1]
     back = (code[1:] < code[:-1]) | (same & (ts[1:] < ts[:-1]))
     if back.any():
         i = int(back.argmax())
-        raise UnsortedInput(
+        raise DataError(
             f"event {i + 2} (student {cols.students[code[i + 1]]!r}, ts_ms {ts[i + 1]}) sorts before"
             f" event {i + 1} (student {cols.students[code[i]]!r}, ts_ms {ts[i]})"
         )
@@ -400,13 +374,12 @@ def _index_store(events: EventColumns, attempts: list[QuizAttempt]) -> TraceStor
         group.sort(key=lambda a: a.attempt_index)
         indices = [a.attempt_index for a in group]
         if indices != list(range(1, len(group) + 1)):
-            raise InconsistentAttempts(sid, qid, f"attempt_index sequence {indices} is not dense 1..k")
+            raise DataError(f"({sid}, {qid}): attempt_index sequence {indices} is not dense 1..k")
         for prev, cur in zip(group, group[1:]):
             if cur.start_ts_ms <= prev.start_ts_ms or cur.start_ts_ms < prev.end_ts_ms:
-                raise InconsistentAttempts(
-                    sid, qid,
-                    f"attempt {cur.attempt_index} must start after attempt {prev.attempt_index} starts"
-                    " and not before it ends",
+                raise DataError(
+                    f"({sid}, {qid}): attempt {cur.attempt_index} must start after attempt"
+                    f" {prev.attempt_index} starts and not before it ends"
                 )
 
     starts = [a.start_ts_ms for a in attempts]

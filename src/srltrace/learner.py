@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .features import BASELINE_FEATURES, Dataset, InvalidDataset, assemble_dataset
+from .features import BASELINE_FEATURES, Dataset, assemble_dataset
 from .ingest import TraceStore
 from .trace_model import DataError, GbdtParams, InvalidConfig, PipelineConfig, first_repeat, is_finite_number
 
@@ -28,21 +28,9 @@ MODEL_FORMAT_VERSION = 3
 BLOCK_VALUES = 1 << 15  # per presorted block of the split search (256 KiB of int64 rows): bounds its scratch arrays
 
 
-class ArityMismatch(DataError):
-    pass
-
-
-class InsufficientGroups(DataError):
-    pass
-
-
-class InvalidModel(DataError):
-    pass
-
-
 def _finite_float(value, what: str) -> float:
     if not isinstance(value, float) or not is_finite_number(value):
-        raise InvalidModel(f"{what} must be a finite float, got {value!r}")
+        raise DataError(f"{what} must be a finite float, got {value!r}")
     return value
 
 
@@ -55,7 +43,7 @@ class TreeNode:
     left: "TreeNode | None" = None
     right: "TreeNode | None" = None
     value: float | None = None
-    gain: float = field(default=0.0, compare=False)  # split gain, saved as "g" for gain importance
+    gain: float = 0.0  # split gain, saved as "g" for gain importance
 
     @property
     def is_leaf(self) -> bool:
@@ -77,9 +65,9 @@ class TreeNode:
         if isinstance(obj, dict) and obj.keys() == {"v"}:
             return TreeNode(value=_finite_float(obj["v"], "leaf value"))
         if not isinstance(obj, dict) or obj.keys() != {"f", "t", "g", "l", "r"}:
-            raise InvalidModel(f"tree node {str(obj)[:60]} has neither the keys {{v}} nor {{f, t, g, l, r}}")
+            raise DataError(f"tree node {str(obj)[:60]} has neither the keys {{v}} nor {{f, t, g, l, r}}")
         if type(obj["f"]) is not int:
-            raise InvalidModel(f"feature_index must be an integer, got {obj['f']!r}")
+            raise DataError(f"feature_index must be an integer, got {obj['f']!r}")
         return TreeNode(
             feature_index=obj["f"],
             threshold=_finite_float(obj["t"], "threshold"),
@@ -222,18 +210,18 @@ def _checked_arrays(dataset: Dataset) -> tuple[np.ndarray, np.ndarray]:
     X = np.asarray(dataset.X, dtype=float)
     y = np.asarray(dataset.y, dtype=float)
     if len(y) == 0:
-        raise InvalidDataset("dataset is empty")
+        raise DataError("dataset is empty")
     if not np.all(np.isfinite(X)):
-        raise InvalidDataset("dataset contains non-finite feature values")
+        raise DataError("dataset contains non-finite feature values")
     if not np.all((y == 0.0) | (y == 1.0)):
-        raise InvalidDataset("labels must be binary 0/1")
+        raise DataError("labels must be binary 0/1")
     return X, y
 
 
 def _scored_arrays(model: GbdtModel, dataset: Dataset) -> tuple[np.ndarray, np.ndarray]:
     """`_checked_arrays` of a dataset whose feature columns are the model's, by name and order."""
     if tuple(dataset.feature_names) != tuple(model.feature_names):
-        raise ArityMismatch(
+        raise DataError(
             f"feature columns {list(dataset.feature_names)} differ from the model's {list(model.feature_names)}"
         )
     return _checked_arrays(dataset)
@@ -289,7 +277,7 @@ def fit(dataset: Dataset, params: GbdtParams) -> GbdtModel:
 def predict_logits(model: GbdtModel, X: np.ndarray) -> np.ndarray:
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != len(model.feature_names):
-        raise ArityMismatch(
+        raise DataError(
             f"expected {len(model.feature_names)} features, got {X.shape[1] if X.ndim == 2 else 'non-matrix'}"
         )
     logits = np.full(len(X), model.base_score_logit)
@@ -308,10 +296,10 @@ def split_students(
     """Seeded student-level partition; test side gets ceil(fraction * n), which must leave one to train on."""
     students = sorted(set(student_ids))
     if len(students) < 2:
-        raise InsufficientGroups(f"need >= 2 distinct students, got {len(students)}")
+        raise DataError(f"need >= 2 distinct students, got {len(students)}")
     n_test = math.ceil(test_fraction * len(students))
     if n_test >= len(students):
-        raise InsufficientGroups(f"test_fraction {test_fraction} leaves none of {len(students)} students to train on")
+        raise DataError(f"test_fraction {test_fraction} leaves none of {len(students)} students to train on")
     rng = np.random.default_rng(seed)  # PCG64
     perm = rng.permutation(len(students))
     test = sorted(students[i] for i in perm[:n_test])
@@ -571,26 +559,26 @@ def model_from_dict(obj) -> GbdtModel:
     """Rebuild a model, rejecting anything `model_to_dict` does not write."""
     expected = {"format_version", "feature_names", "base_score_logit", "params", "trees"}
     if not isinstance(obj, dict) or obj.keys() != expected or obj["format_version"] != MODEL_FORMAT_VERSION:
-        raise InvalidModel(f"expected a JSON object with the keys {sorted(expected)} and format_version "
-                           f"{MODEL_FORMAT_VERSION}; re-run `srltrace train`")
+        raise DataError(f"expected a JSON object with the keys {sorted(expected)} and format_version "
+                        f"{MODEL_FORMAT_VERSION}; re-run `srltrace train`")
     names, params, trees = obj["feature_names"], obj["params"], obj["trees"]
     if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
-        raise InvalidModel("feature_names must be a list of strings")
+        raise DataError("feature_names must be a list of strings")
     repeated = first_repeat(names)
     if repeated is not None:
-        raise InvalidModel(f"feature_names repeat {repeated!r}")
+        raise DataError(f"feature_names repeat {repeated!r}")
     if not isinstance(params, dict) or params.keys() != {f.name for f in fields(GbdtParams)}:
-        raise InvalidModel(f"params keys must be {[f.name for f in fields(GbdtParams)]}")
+        raise DataError(f"params keys must be {[f.name for f in fields(GbdtParams)]}")
     if not isinstance(trees, list):
-        raise InvalidModel("trees must be a list")
+        raise DataError("trees must be a list")
     try:
         params = GbdtParams(**params)
     except InvalidConfig as exc:
-        raise InvalidModel(f"params: {exc}") from None
+        raise DataError(f"params: {exc}") from None
     trees = [TreeNode.from_dict(t) for t in trees]
     for nd in _split_nodes(trees):
         if not 0 <= nd.feature_index < len(names):
-            raise InvalidModel(f"feature_index {nd.feature_index} is out of range for {len(names)} features")
+            raise DataError(f"feature_index {nd.feature_index} is out of range for {len(names)} features")
     return GbdtModel(
         base_score_logit=_finite_float(obj["base_score_logit"], "base_score_logit"),
         trees=trees,

@@ -15,7 +15,6 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .ingest import EventColumns, TraceStore, check_sorted, events_to_columns
-from .ingest import UnsortedInput  # noqa: F401 - re-exported: segment_sessions raises it
 from .trace_model import QuizAttempt, ReadingSession, SessionizerConfig
 
 
@@ -123,7 +122,7 @@ class _StreamPass:
 
 def _sorted_columns(events: EventColumns | Sequence[tuple]) -> EventColumns:
     """`events` as columns. A list of rows goes through `events_to_columns`, which
-    keeps its order, so it is checked here: UnsortedInput if the timestamps decrease."""
+    keeps its order, so it is checked here: DataError if the timestamps decrease."""
     if isinstance(events, EventColumns):
         return events
     cols = events_to_columns(events)
@@ -134,7 +133,7 @@ def _sorted_columns(events: EventColumns | Sequence[tuple]) -> EventColumns:
 def segment_sessions(
     events: EventColumns | Sequence[tuple], cfg: SessionizerConfig
 ) -> list[ReadingSession]:
-    """Segment one student's sorted scroll stream into reading sessions; UnsortedInput if a list is out of order."""
+    """Segment one student's sorted scroll stream into reading sessions; DataError if a list is out of order."""
     events = _sorted_columns(events)
     ts = events.ts_ms
     codes = events.object_code

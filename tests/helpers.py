@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import os
 import random
+import re
 from typing import NamedTuple
 
 import numpy as np
@@ -319,6 +320,11 @@ def mutate_score(store, target: QuizAttempt, new_score: float):
                               att.start_ts_ms, att.end_ts_ms, new_score, att.max_score)
         attempts.append(att)
     return build_store(store.events, attempts)
+
+
+def whole(message: str) -> str:
+    """A `pytest.raises(match=...)` pattern that matches exactly `message`."""
+    return f"^{re.escape(message)}$"
 
 
 def no_child_left() -> bool:

@@ -13,6 +13,7 @@ from helpers import no_child_left
 from srltrace import learner
 from srltrace.cli import run
 from srltrace.features import BASELINE_FEATURES, load_dataset_csv
+from srltrace.ingest import parse_events
 from srltrace.trace_model import GbdtParams
 
 
@@ -349,7 +350,7 @@ class TestExitCodes:
         ("node_without_r", "tree node"),
         ("format_1_with_seed", "format_version 3; re-run `srltrace train`"),
         ("format_2_without_gains", "format_version 3; re-run `srltrace train`"),
-    ])
+    ], ids=["feature_index_99", "unknown_param", "node_without_r", "format_1_with_seed", "format_2_without_gains"])
     def test_corrupt_model_is_data_error(self, trained, tmp_path, capsys, corrupt, message):
         feats, model = trained
         obj = json.loads(model.read_text())
@@ -533,6 +534,20 @@ class TestForkedCompare:
         _patch_baseline_fit(monkeypatch, die)
         assert self._compare(store_dir, tmp_path) == 2
         assert capsys.readouterr().err == "error: the forked child ended with exit status 7 before it sent its result\n"
+        assert not (tmp_path / "r.json").exists()
+        assert no_child_left()
+
+    def test_parse_error_in_the_child_ends_compare_as_a_data_error(self, store_dir, tmp_path, capsys, monkeypatch):
+        test_pid = os.getpid()
+
+        def parse():
+            if os.getpid() == test_pid:
+                raise AssertionError("the baseline fit ran in the test's own process")
+            parse_events(['{"student_id": "s1", "ts_ms": 0, "scroll_y": 0}\n'])
+
+        _patch_baseline_fit(monkeypatch, parse)
+        assert self._compare(store_dir, tmp_path) == 2
+        assert capsys.readouterr().err == f"error: {store_dir}: line 1: field 'object_id' missing or not a string\n"
         assert not (tmp_path / "r.json").exists()
         assert no_child_left()
 

@@ -1,19 +1,16 @@
 """Feature engineering fixtures, leakage properties, and dataset assembly."""
 
 import random
-import re
 import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from helpers import Event, mutate_score, random_store_inputs
+from helpers import Event, mutate_score, random_store_inputs, whole
 from srltrace.features import (
     BASELINE_FEATURES,
     SRL_FEATURES,
-    EmptyStore,
-    InvalidDataset,
     assemble_dataset,
     baseline_features,
     label_attempt,
@@ -22,7 +19,7 @@ from srltrace.features import (
     srl_features,
 )
 from srltrace.ingest import JSON_NUMBER, build_store
-from srltrace.trace_model import PipelineConfig, QuizAttempt, format_number
+from srltrace.trace_model import DataError, PipelineConfig, QuizAttempt, format_number
 
 CFG = PipelineConfig()
 
@@ -172,7 +169,7 @@ class TestAssembleDataset:
         assert list(ds.keys) == sorted(ds.keys)
 
     def test_empty_store_rejected(self):
-        with pytest.raises(EmptyStore):
+        with pytest.raises(DataError, match="^store contains no quiz attempts$"):
             assemble_dataset(build_store([], []), "srl", CFG)
 
     def test_assembly_deterministic(self):
@@ -282,7 +279,7 @@ class TestCsvRoundTrip:
         save_dataset_csv(assemble_dataset(_seven_attempt_store(), "srl", CFG), path)
         header, rest = path.read_text().split("\n", 1)
         path.write_text(header.replace("num_backscrolls", "reading_sessions") + "\n" + rest)
-        with pytest.raises(InvalidDataset, match="line 1: .*'reading_sessions'"):
+        with pytest.raises(DataError, match="^line 1: feature column 'reading_sessions' appears more than once$"):
             load_dataset_csv(path)
 
     def test_repeated_attempt_key_rejected_at_its_line(self, tmp_path):
@@ -290,7 +287,8 @@ class TestCsvRoundTrip:
         save_dataset_csv(assemble_dataset(_seven_attempt_store(), "srl", CFG), path)
         lines = path.read_text().splitlines(keepends=True)
         path.write_text("".join(lines + lines[1:3]))  # rows of ('s1', 'q1', 1) and 2 again, as lines 9 and 10
-        with pytest.raises(InvalidDataset, match=r"line 9: .*\('s1', 'q1', 1\)"):
+        message = "line 9: attempt (student_id, quiz_id, attempt_index) ('s1', 'q1', 1) appears more than once"
+        with pytest.raises(DataError, match=whole(message)):
             load_dataset_csv(path)
 
     @pytest.mark.parametrize("column, value", [
@@ -306,7 +304,7 @@ class TestCsvRoundTrip:
         row[column] = value
         path.write_text("".join([*lines[:2], ",".join(row) + "\n", *lines[3:]]), encoding="utf-8")
         message = f"line 3: field {name!r} is not a plain number: {value!r}"
-        with pytest.raises(InvalidDataset, match=f"^{re.escape(message)}$"):
+        with pytest.raises(DataError, match=whole(message)):
             load_dataset_csv(path)
 
     @given(st.floats(allow_nan=False, allow_infinity=False))
@@ -317,9 +315,12 @@ class TestCsvRoundTrip:
     @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(), reason="no int digit limit")
     def test_attempt_index_beyond_the_int_digit_limit_rejected_at_its_line(self, tmp_path):
         path = tmp_path / "ds.csv"
-        path.write_text("student_id,quiz_id,attempt_index,a,label\n"
-                        f"s1,q1,1,0,1\ns1,q1,{'9' * (sys.get_int_max_str_digits() + 1)},0,1\n", encoding="utf-8")
-        with pytest.raises(InvalidDataset, match="^line 3: Exceeds the limit"):
+        digits = "9" * (sys.get_int_max_str_digits() + 1)
+        path.write_text(f"student_id,quiz_id,attempt_index,a,label\ns1,q1,1,0,1\ns1,q1,{digits},0,1\n",
+                        encoding="utf-8")
+        with pytest.raises(ValueError) as refused:
+            int(digits)
+        with pytest.raises(DataError, match=whole(f"line 3: {refused.value}")):
             load_dataset_csv(path)
 
     def test_json_number_forms_accepted(self, tmp_path):

@@ -16,13 +16,12 @@ from helpers import (
 from srltrace import sessionize
 from srltrace.ingest import build_store, events_to_columns
 from srltrace.sessionize import (
-    UnsortedInput,
     count_backscrolls,
     reading_window,
     segment_sessions,
     window_counts,
 )
-from srltrace.trace_model import QuizAttempt, SessionizerConfig
+from srltrace.trace_model import DataError, QuizAttempt, SessionizerConfig
 
 CFG = SessionizerConfig()
 
@@ -72,7 +71,8 @@ class TestSegmentSessions:
         assert sessions[1].num_breaks == 0
 
     def test_unsorted_rejected(self):
-        with pytest.raises(UnsortedInput):
+        message = r"^event 2 \(student 's1', ts_ms 5000\) sorts before event 1 \(student 's1', ts_ms 10000\)$"
+        with pytest.raises(DataError, match=message):
             segment_sessions(trace((0, 10), (0, 5)), CFG)
 
     def test_partition_and_order(self):

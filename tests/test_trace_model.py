@@ -1,13 +1,17 @@
 """Domain type validation."""
 
+import importlib
 import io
 import json
+import pickle
+import pkgutil
 
 import pytest
 
 from helpers import Event, event_rows
-from srltrace.ingest import MalformedEvent, parse_events
-from srltrace.trace_model import QuizAttempt, ReadingSession, SessionizerConfig
+import srltrace
+from srltrace.ingest import parse_events
+from srltrace.trace_model import DataError, InvalidConfig, QuizAttempt, ReadingSession, SessionizerConfig
 
 
 def event_line(ts_ms, scroll_y=0.0, page_height=None):
@@ -26,14 +30,12 @@ class TestScrollEvent:
         ]
 
     def test_negative_ts_rejected(self):
-        with pytest.raises(MalformedEvent) as exc:
+        with pytest.raises(DataError, match=r"^line 1: ts_ms must be in \[0, 2\*\*63\), got -5$"):
             parse_events(event_line(-5))
-        assert (exc.value.line_number, exc.value.reason) == (1, "ts_ms must be in [0, 2**63), got -5")
 
     def test_scroll_beyond_page_height_rejected(self):
-        with pytest.raises(MalformedEvent) as exc:
+        with pytest.raises(DataError, match=r"^line 1: scroll_y 2001\.0 exceeds page_height 2000\.0$"):
             parse_events(event_line(0, 2001.0, 2000.0))
-        assert (exc.value.line_number, exc.value.reason) == (1, "scroll_y 2001.0 exceeds page_height 2000.0")
 
 
 class TestQuizAttempt:
@@ -84,3 +86,21 @@ class TestSessionizerConfig:
     def test_nonpositive_rejected(self):
         with pytest.raises(ValueError):
             SessionizerConfig(break_gap_ms=0)
+
+
+def _error_classes():
+    """Every exception class the package defines."""
+    modules = [importlib.import_module(f"srltrace.{m.name}") for m in pkgutil.iter_modules(srltrace.__path__)]
+    return {obj for module in modules for obj in vars(module).values()
+            if isinstance(obj, type) and issubclass(obj, Exception) and obj.__module__.startswith("srltrace.")}
+
+
+def test_error_classes_are_the_two_exit_codes():
+    assert _error_classes() == {DataError, InvalidConfig}
+
+
+@pytest.mark.parametrize("error", sorted(_error_classes(), key=lambda c: c.__name__), ids=lambda c: c.__name__)
+def test_error_survives_a_pickle_round_trip(error):
+    # compare's forked branch sends the error it raised back pickled
+    back = pickle.loads(pickle.dumps(error("line 3: bad")))
+    assert (type(back), str(back)) == (error, "line 3: bad")
