@@ -135,17 +135,10 @@ class Dataset:
     def student_ids(self) -> tuple[str, ...]:
         return tuple(k[0] for k in self.keys)
 
-    def subset(self, indices: Sequence[int]) -> "Dataset":
-        idx = list(indices)
-        return Dataset(
-            keys=tuple(self.keys[i] for i in idx),
-            feature_names=self.feature_names,
-            X=self.X[idx],
-            y=self.y[idx],
-        )
-
     def subset_by_students(self, students: set[str]) -> "Dataset":
-        return self.subset([i for i, k in enumerate(self.keys) if k[0] in students])
+        """The rows of the given students, in their order."""
+        idx = [i for i, k in enumerate(self.keys) if k[0] in students]
+        return Dataset(tuple(self.keys[i] for i in idx), self.feature_names, self.X[idx], self.y[idx])
 
     def select(self, names: Sequence[str]) -> "Dataset":
         """The same rows with only the named feature columns, in the given order."""
@@ -194,7 +187,7 @@ def load_dataset_csv(path: str | Path) -> Dataset:
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, [])
-        if header[:3] != ["student_id", "quiz_id", "attempt_index"] or len(header) < 4 or header[-1] != "label":
+        if header[:3] != ["student_id", "quiz_id", "attempt_index"] or len(header) < 5 or header[-1] != "label":
             raise DataError("line 1: header must be student_id,quiz_id,attempt_index,<features...>,label")
         names = tuple(header[3:-1])
         repeated = first_repeat(names)

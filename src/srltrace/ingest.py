@@ -242,7 +242,7 @@ class EventColumns:
         )
 
 
-def check_sorted(cols: EventColumns) -> None:
+def _check_sorted(cols: EventColumns) -> None:
     """Raise DataError unless student codes ascend and each student's ts_ms never decreases."""
     code, ts = cols.student_code, cols.ts_ms
     same = code[1:] == code[:-1]
@@ -300,14 +300,12 @@ def _row_columns(rows: list[tuple]) -> tuple:
     return student_ids, object_ids, ts_ms, array("d", scroll_y), array("d", heights), [k == "pageload" for k in kinds]
 
 
-def events_to_columns(events: EventColumns | Iterable) -> EventColumns:
-    """The columns of event rows, in their order; an `EventColumns` is returned as it is.
+def events_to_columns(rows: Iterable[tuple]) -> EventColumns:
+    """The columns of event rows (student_id, object_id, ts_ms, scroll_y, page_height, kind), in their order.
 
     Rows are coded a chunk at a time, so few of them are held at once.
     """
-    if isinstance(events, EventColumns):
-        return events
-    return _columns(map(_row_columns, _chunks(events)))
+    return _columns(map(_row_columns, _chunks(rows)))
 
 
 def normalize_events(cols: EventColumns) -> EventColumns:
@@ -392,9 +390,9 @@ def _index_store(events: EventColumns, attempts: list[QuizAttempt]) -> TraceStor
     )
 
 
-def build_store(events: EventColumns | Iterable[tuple], attempts: list[QuizAttempt]) -> TraceStore:
+def build_store(events: EventColumns, attempts: list[QuizAttempt]) -> TraceStore:
     """Normalize and index inputs; rejects inconsistent or overlapping attempt sequences."""
-    return _index_store(normalize_events(events_to_columns(events)), attempts)
+    return _index_store(normalize_events(events), attempts)
 
 
 def _write_event_lines(fh, cols: EventColumns) -> None:
@@ -417,14 +415,12 @@ def _write_event_lines(fh, cols: EventColumns) -> None:
         ]))
 
 
-def write_trace_files(
-    out_dir: str | Path, events: EventColumns | Iterable[tuple], attempts: Iterable[QuizAttempt]
-) -> None:
-    """Write events (columns or rows) as JSON Lines and the attempts CSV into `out_dir`, as the parsers read them."""
+def write_trace_files(out_dir: str | Path, events: EventColumns, attempts: Iterable[QuizAttempt]) -> None:
+    """Write events as JSON Lines and the attempts CSV into `out_dir`, as the parsers read them."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     with open(out / EVENTS_FILENAME, "w", encoding="utf-8", newline="\n") as fh:
-        _write_event_lines(fh, events_to_columns(events))
+        _write_event_lines(fh, events)
     with open(out / ATTEMPTS_FILENAME, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(_ATTEMPT_FIELDS)
@@ -524,7 +520,7 @@ def _read_columns(src: Path, manifest: dict) -> EventColumns:
             raise DataError(f"{src / f'events.{name}.npy'}: code out of range of the {len(table)}-entry table")
     cols = EventColumns(**columns, students=students, objects=objects)
     with in_file(src / "events.ts_ms.npy"):
-        check_sorted(cols)
+        _check_sorted(cols)
     return cols
 
 

@@ -353,6 +353,11 @@ def _split_nodes(trees: list[TreeNode]):
             stack += (nd.left, nd.right)
 
 
+def _depth(node: TreeNode) -> int:
+    """The most splits on a path from `node` to a leaf."""
+    return 0 if node.is_leaf else 1 + max(_depth(node.left), _depth(node.right))
+
+
 def gain_importance(model: GbdtModel) -> dict[str, float]:
     """Total split gain per feature across all trees (0 for unused features)."""
     totals = {name: 0.0 for name in model.feature_names}
@@ -579,6 +584,12 @@ def model_from_dict(obj) -> GbdtModel:
     for nd in _split_nodes(trees):
         if not 0 <= nd.feature_index < len(names):
             raise DataError(f"feature_index {nd.feature_index} is out of range for {len(names)} features")
+    # `fit` grows one tree a round, none deeper than max_depth.
+    if len(trees) != params.n_rounds:
+        raise DataError(f"{len(trees)} trees where params.n_rounds is {params.n_rounds}")
+    for i, tree in enumerate(trees):
+        if _depth(tree) > params.max_depth:
+            raise DataError(f"tree {i} is {_depth(tree)} splits deep, beyond params.max_depth {params.max_depth}")
     return GbdtModel(
         base_score_logit=_finite_float(obj["base_score_logit"], "base_score_logit"),
         trees=trees,

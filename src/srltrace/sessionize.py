@@ -10,11 +10,11 @@ count does not depend on the scroll sampling rate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-from .ingest import EventColumns, TraceStore, check_sorted, events_to_columns
+from .ingest import EventColumns, TraceStore
 from .trace_model import QuizAttempt, ReadingSession, SessionizerConfig
 
 
@@ -120,21 +120,8 @@ class _StreamPass:
         return WindowCounts(sessions, breaks, backscrolls, active_ms, objects)
 
 
-def _sorted_columns(events: EventColumns | Sequence[tuple]) -> EventColumns:
-    """`events` as columns. A list of rows goes through `events_to_columns`, which
-    keeps its order, so it is checked here: DataError if the timestamps decrease."""
-    if isinstance(events, EventColumns):
-        return events
-    cols = events_to_columns(events)
-    check_sorted(cols)
-    return cols
-
-
-def segment_sessions(
-    events: EventColumns | Sequence[tuple], cfg: SessionizerConfig
-) -> list[ReadingSession]:
-    """Segment one student's sorted scroll stream into reading sessions; DataError if a list is out of order."""
-    events = _sorted_columns(events)
+def segment_sessions(events: EventColumns, cfg: SessionizerConfig) -> list[ReadingSession]:
+    """Segment one student's sorted scroll stream into reading sessions."""
     ts = events.ts_ms
     codes = events.object_code
     sessions: list[ReadingSession] = []
@@ -155,9 +142,8 @@ def segment_sessions(
     return sessions
 
 
-def count_backscrolls(events: EventColumns | Sequence[tuple], cfg: SessionizerConfig) -> int:
-    """Total backscroll actions over the stream; pairs never cross sessions."""
-    events = _sorted_columns(events)
+def count_backscrolls(events: EventColumns, cfg: SessionizerConfig) -> int:
+    """Total backscroll actions over one student's sorted stream; pairs never cross sessions."""
     return _StreamPass(events, cfg).window(0, len(events)).backscrolls
 
 

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .ingest import write_trace_files
+from .ingest import EventColumns, events_to_columns, write_trace_files
 from .trace_model import InvalidConfig, QuizAttempt
 
 TRUTH_FILENAME = "truth.json"
@@ -99,7 +99,7 @@ class GenConfig:
 
 @dataclass
 class Cohort:
-    events: list[tuple]  # rows (student_id, object_id, ts_ms, scroll_y, page_height, kind)
+    events: EventColumns  # student by student, each student's in time order
     attempts: list[QuizAttempt]
     truth: dict = field(default_factory=dict)
 
@@ -342,7 +342,7 @@ def generate_cohort(cfg: GenConfig) -> Cohort:
         "students": students,
         "attempts": rows,
     }
-    return Cohort(events=events, attempts=attempts, truth=truth)
+    return Cohort(events=events_to_columns(events), attempts=attempts, truth=truth)
 
 
 def write_cohort(cohort: Cohort, out_dir: str | Path) -> None:

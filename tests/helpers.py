@@ -25,7 +25,7 @@ ACCEPTANCE_LINES: list[str] = []
 
 
 class Event(NamedTuple):
-    """An event row in the field order `build_store` and `segment_sessions` take, with names for fixtures."""
+    """An event row in the field order `events_to_columns` takes, with names for fixtures."""
 
     student_id: str
     object_id: str
@@ -307,6 +307,12 @@ def random_store_inputs(rng: random.Random, n_students: int = 6, n_quizzes: int 
                 )
                 t = end + rng.randrange(1_000, 100_000)
     return events, attempts
+
+
+def random_store(rng: random.Random, n_students: int = 6, n_quizzes: int = 2):
+    """The store `build_store` makes of `random_store_inputs`."""
+    events, attempts = random_store_inputs(rng, n_students, n_quizzes)
+    return build_store(events_to_columns(events), attempts)
 
 
 def mutate_score(store, target: QuizAttempt, new_score: float):

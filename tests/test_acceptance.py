@@ -17,7 +17,7 @@ from helpers import (
     naive_count_backscrolls,
     naive_session_stats,
     naive_split_sessions,
-    random_store_inputs,
+    random_store,
     random_trace,
 )
 from test_learner import check_fit_against_oracle, random_ds
@@ -29,7 +29,7 @@ from srltrace.features import (
     save_dataset_csv,
     srl_features,
 )
-from srltrace.ingest import build_store, load_store, save_store
+from srltrace.ingest import events_to_columns, load_store, save_store
 from srltrace.learner import fit, grouped_split, load_model, save_model
 from srltrace.sessionize import count_backscrolls, segment_sessions
 from srltrace.trace_model import GbdtParams, PipelineConfig, SessionizerConfig
@@ -116,7 +116,8 @@ def test_criterion_5_sessionizer_oracle():
     mismatches = 0
     for _ in range(1000):
         events = random_trace(rng, rng.randrange(0, 201))
-        sessions = segment_sessions(events, cfg)
+        cols = events_to_columns(events)
+        sessions = segment_sessions(cols, cfg)
         naive = naive_split_sessions(events, cfg)
         if len(sessions) != len(naive):
             mismatches += 1
@@ -126,7 +127,7 @@ def test_criterion_5_sessionizer_oracle():
             if (got.event_count, got.num_breaks, got.active_ms, got.num_backscrolls,
                     got.object_ids) != (len(ref), breaks, active, backs, frozenset(objects)):
                 mismatches += 1
-        if count_backscrolls(events, cfg) != naive_count_backscrolls(events, cfg):
+        if count_backscrolls(cols, cfg) != naive_count_backscrolls(events, cfg):
             mismatches += 1
     elapsed = time.monotonic() - started
     assert mismatches == 0
@@ -185,8 +186,7 @@ def test_criterion_7_leakage_invariants():
     cfg = PipelineConfig()
     pyrng = random.Random(708)
     for _ in range(50):
-        events, attempts = random_store_inputs(pyrng, n_students=3)
-        store = build_store(events, attempts)
+        store = random_store(pyrng, n_students=3)
         target = pyrng.choice(store.all_attempts())
         mutated = mutate_score(store, target, (target.score + 37.0) % 100.0)
         matt = mutated.attempts_for(target.student_id, target.quiz_id)[target.attempt_index - 1]
@@ -216,8 +216,7 @@ def test_criterion_8_determinism(tmp_path):
 
 def test_criterion_9_round_trips(tmp_path):
     pyrng = random.Random(909)
-    events, attempts = random_store_inputs(pyrng, n_students=5)
-    store = build_store(events, attempts)
+    store = random_store(pyrng, n_students=5)
 
     # store serialize -> re-parse identity
     save_store(store, tmp_path / "store")

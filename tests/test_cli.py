@@ -309,6 +309,24 @@ class TestExitCodes:
         assert str(renamed) in err and "line 1" in err and "'reading_sessions'" in err
         assert not (tmp_path / "m.json").exists()
 
+    @pytest.mark.parametrize("fault", ["no_feature_column", "no_label", "keys_swapped"])
+    def test_bad_features_header_is_data_error(self, trained, tmp_path, capsys, fault):
+        feats, _ = trained
+        rows = [line.split(",") for line in feats.read_text().splitlines()]
+        if fault == "no_feature_column":
+            rows = [r[:3] + r[-1:] for r in rows]
+        elif fault == "no_label":
+            rows = [r[:-1] for r in rows]
+        else:
+            rows[0][:2] = ["quiz_id", "student_id"]
+        bad = tmp_path / "bad.csv"
+        bad.write_text("".join(",".join(r) + "\n" for r in rows))
+        code = run(["train", "--features", str(bad), "--model", str(tmp_path / "m.json"), "--rounds", "2"])
+        assert code == 2
+        message = "line 1: header must be student_id,quiz_id,attempt_index,<features...>,label"
+        assert f"error: {bad}: {message}\n" == capsys.readouterr().err
+        assert not (tmp_path / "m.json").exists()
+
     @pytest.mark.parametrize("stage", ["train", "evaluate"])
     def test_repeated_attempt_row_is_data_error(self, trained, tmp_path, capsys, stage):
         feats, model = trained
@@ -350,7 +368,11 @@ class TestExitCodes:
         ("node_without_r", "tree node"),
         ("format_1_with_seed", "format_version 3; re-run `srltrace train`"),
         ("format_2_without_gains", "format_version 3; re-run `srltrace train`"),
-    ], ids=["feature_index_99", "unknown_param", "node_without_r", "format_1_with_seed", "format_2_without_gains"])
+        ("two_of_five_trees", "2 trees where params.n_rounds is 5"),
+        ("no_trees", "0 trees where params.n_rounds is 5"),
+        ("max_depth_1", "splits deep, beyond params.max_depth 1"),
+    ], ids=["feature_index_99", "unknown_param", "node_without_r", "format_1_with_seed", "format_2_without_gains",
+            "two_of_five_trees", "no_trees", "max_depth_1"])
     def test_corrupt_model_is_data_error(self, trained, tmp_path, capsys, corrupt, message):
         feats, model = trained
         obj = json.loads(model.read_text())
@@ -365,6 +387,12 @@ class TestExitCodes:
         elif corrupt == "format_2_without_gains":  # as `train` wrote it before the gains were saved
             obj["format_version"] = 2
             obj["trees"] = json.loads(re.sub(r', "g": [^,]+', "", json.dumps(obj["trees"])))
+        elif corrupt == "two_of_five_trees":
+            obj["trees"] = obj["trees"][:2]
+        elif corrupt == "no_trees":
+            obj["trees"] = []
+        elif corrupt == "max_depth_1":  # the fit grew trees 3 deep
+            obj["params"]["max_depth"] = 1
         else:
             del split["r"]
         bad = tmp_path / "model.json"

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from helpers import Event, mutate_score, random_store_inputs, whole
+from helpers import Event, mutate_score, random_store, whole
 from srltrace.features import (
     BASELINE_FEATURES,
     SRL_FEATURES,
@@ -18,7 +18,7 @@ from srltrace.features import (
     save_dataset_csv,
     srl_features,
 )
-from srltrace.ingest import JSON_NUMBER, build_store
+from srltrace.ingest import JSON_NUMBER, build_store, events_to_columns
 from srltrace.trace_model import DataError, PipelineConfig, QuizAttempt, format_number
 
 CFG = PipelineConfig()
@@ -49,7 +49,7 @@ class TestLabelAttempt:
 
 class TestBaselineFeatures:
     def test_first_attempt_empty_window(self):
-        store = build_store([], [_att(1, 0, 600_000, 80.0)])
+        store = build_store(events_to_columns([]), [_att(1, 0, 600_000, 80.0)])
         feats = baseline_features(store, store.attempts_for("s1", "q1")[0], CFG)
         assert feats == {
             "reading_sessions": 0.0,
@@ -75,7 +75,7 @@ class TestBaselineFeatures:
             _att(2, 2_000_000, 2_060_000, 40.0),
             _att(3, 4_000_000, 4_450_000, 80.0),
         ]
-        store = build_store(events, attempts)
+        store = build_store(events_to_columns(events), attempts)
         feats = baseline_features(store, store.attempts_for("s1", "q1")[2], CFG)
         assert feats == {
             "reading_sessions": 2.0,
@@ -86,7 +86,7 @@ class TestBaselineFeatures:
         }
 
     def test_quiz_time_arithmetic(self):
-        store = build_store([], [_att(1, 0, 90_000, 80.0)])
+        store = build_store(events_to_columns([]), [_att(1, 0, 90_000, 80.0)])
         feats = baseline_features(store, store.attempts_for("s1", "q1")[0], CFG)
         assert feats["quiz_time_mins"] == 1.5
 
@@ -94,7 +94,7 @@ class TestBaselineFeatures:
 class TestSrlFeatures:
     def test_first_attempt_conventions(self):
         events = _backscroll_events(100_000, 4)
-        store = build_store(events, [_att(1, 1_000_000, 1_060_000, 80.0)])
+        store = build_store(events_to_columns(events), [_att(1, 1_000_000, 1_060_000, 80.0)])
         feats = srl_features(store, store.attempts_for("s1", "q1")[0], CFG)
         assert feats["num_backscrolls"] == 4.0
         assert feats["backscrolls_delta"] == 4.0
@@ -112,7 +112,7 @@ class TestSrlFeatures:
             _att(1, 1_000_000, 1_480_000, 40.0),
             _att(2, 3_000_000, 3_720_000, 80.0),
         ]
-        store = build_store(events, attempts)
+        store = build_store(events_to_columns(events), attempts)
         feats = srl_features(store, store.attempts_for("s1", "q1")[1], CFG)
         assert feats["prev_fail"] == 1.0
         assert feats["backscrolls_delta"] == 3.0
@@ -126,14 +126,14 @@ class TestSrlFeatures:
             _att(2, 2_000_000, 2_060_000, 80.0),
             _att(3, 3_000_000, 3_060_000, 10.0),
         ]
-        store = build_store([], attempts)
+        store = build_store(events_to_columns([]), attempts)
         feats = srl_features(store, store.attempts_for("s1", "q1")[2], CFG)
         assert feats["score_diff"] == pytest.approx(0.3)
         assert feats["improved_score"] == 1.0
 
     def test_score_diff_zero_with_single_prior(self):
         attempts = [_att(1, 1_000_000, 1_060_000, 90.0), _att(2, 2_000_000, 2_060_000, 10.0)]
-        store = build_store([], attempts)
+        store = build_store(events_to_columns([]), attempts)
         feats = srl_features(store, store.attempts_for("s1", "q1")[1], CFG)
         assert feats["score_diff"] == 0.0
         assert feats["improved_score"] == 0.0
@@ -150,7 +150,7 @@ def _seven_attempt_store():
         _att(3, 3_000_000, 3_080_000, 75.0, sid="s3"),
     ]
     events = _backscroll_events(100_000, 2) + _backscroll_events(500_000, 1, sid="s3")
-    return build_store(events, attempts)
+    return build_store(events_to_columns(events), attempts)
 
 
 class TestAssembleDataset:
@@ -170,7 +170,7 @@ class TestAssembleDataset:
 
     def test_empty_store_rejected(self):
         with pytest.raises(DataError, match="^store contains no quiz attempts$"):
-            assemble_dataset(build_store([], []), "srl", CFG)
+            assemble_dataset(build_store(events_to_columns([]), []), "srl", CFG)
 
     def test_assembly_deterministic(self):
         store = _seven_attempt_store()
@@ -183,8 +183,7 @@ class TestAssembleDataset:
 
 class TestRowInvariants:
     def _random_dataset(self, seed):
-        events, attempts = random_store_inputs(random.Random(seed))
-        return assemble_dataset(build_store(events, attempts), "srl", CFG)
+        return assemble_dataset(random_store(random.Random(seed)), "srl", CFG)
 
     def test_first_attempt_zeros(self):
         for seed in range(10):
@@ -224,7 +223,7 @@ class TestRowInvariants:
 class TestAssemblyReusesWindows:
     def test_rows_equal_per_attempt_functions(self):
         for seed in range(10):
-            store = build_store(*random_store_inputs(random.Random(seed)))
+            store = random_store(random.Random(seed))
             srl = assemble_dataset(store, "srl", CFG)
             assert srl.feature_names == tuple(BASELINE_FEATURES + SRL_FEATURES)
             for (sid, qid, idx), row in zip(srl.keys, srl.X):
@@ -237,7 +236,7 @@ class TestAssemblyReusesWindows:
             assert np.array_equal(base.X, srl.X[:, : len(BASELINE_FEATURES)])
 
     def test_one_pass_per_student(self, stream_passes):
-        store = build_store(*random_store_inputs(random.Random(5)))
+        store = random_store(random.Random(5))
         assemble_dataset(store, "srl", CFG)
         students = {a.student_id for a in store.all_attempts()}
         assert len(stream_passes) == len(students)
@@ -248,8 +247,7 @@ class TestNoLabelLeakage:
     def test_features_invariant_to_current_score(self):
         rng = random.Random(42)
         for _ in range(15):
-            events, attempts = random_store_inputs(rng, n_students=3)
-            store = build_store(events, attempts)
+            store = random_store(rng, n_students=3)
             target = rng.choice(store.all_attempts())
             new_score = (target.score + 37.0) % 100.0
             mutated = mutate_score(store, target, new_score)

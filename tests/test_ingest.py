@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from helpers import Event, event_rows, naive_normalize, parse_events_per_line, random_store_inputs, whole
+from helpers import Event, event_rows, naive_normalize, parse_events_per_line, random_store, random_store_inputs, whole
 from srltrace import ingest
 from srltrace.ingest import (
     ATTEMPTS_HEADER,
@@ -260,7 +260,7 @@ def test_event_json_line_is_json_dumps(out_dir, rows):
             obj["page_height"] = height
         obj["event"] = kind
         expected.append(json.dumps(obj, separators=(",", ":")) + "\n")
-    write_trace_files(out_dir, rows, [])
+    write_trace_files(out_dir, events_to_columns(rows), [])
     with open(out_dir / "events.jsonl", encoding="utf-8", newline="") as fh:
         assert fh.read() == "".join(expected)
 
@@ -416,47 +416,45 @@ OVERLAP_MESSAGE = "(s1, q1): attempt 2 must start after attempt 1 starts and not
 
 class TestBuildStore:
     def test_events_sorted_per_student(self):
-        store = build_store([_ev(30), _ev(10), _ev(20)], [_att(1, 100)])
+        store = build_store(events_to_columns([_ev(30), _ev(10), _ev(20)]), [_att(1, 100)])
         assert store.events_for("s1").ts_ms.tolist() == [10, 20, 30]
 
     def test_attempt_gap_rejected(self):
         with pytest.raises(DataError, match=whole("(s1, q1): attempt_index sequence [1, 3] is not dense 1..k")):
-            build_store([], [_att(1, 100), _att(3, 200)])
+            build_store(events_to_columns([]), [_att(1, 100), _att(3, 200)])
 
     def test_duplicate_index_rejected(self):
         with pytest.raises(DataError, match=whole("(s1, q1): attempt_index sequence [1, 1] is not dense 1..k")):
-            build_store([], [_att(1, 100), _att(1, 200)])
+            build_store(events_to_columns([]), [_att(1, 100), _att(1, 200)])
 
     def test_nonincreasing_starts_rejected(self):
         with pytest.raises(DataError, match=whole(OVERLAP_MESSAGE)):
-            build_store([], [_att(1, 200), _att(2, 100)])
+            build_store(events_to_columns([]), [_att(1, 200), _att(2, 100)])
 
     def test_overlapping_attempts_rejected(self):
         with pytest.raises(DataError, match=whole(OVERLAP_MESSAGE)):
-            build_store([], [_att(1, 100, 500), _att(2, 400)])
+            build_store(events_to_columns([]), [_att(1, 100, 500), _att(2, 400)])
 
     def test_start_at_previous_end_permitted(self):
-        store = build_store([], [_att(1, 100, 500), _att(2, 500)])
+        store = build_store(events_to_columns([]), [_att(1, 100, 500), _att(2, 500)])
         assert store.n_attempts == 2
 
     def test_student_without_events_permitted(self):
-        store = build_store([], [_att(1, 100)])
+        store = build_store(events_to_columns([]), [_att(1, 100)])
         assert len(store.events_for("s1")) == 0
         assert store.n_attempts == 1
 
     def test_course_start_is_min_timestamp(self):
-        store = build_store([_ev(50)], [_att(1, 20)])
+        store = build_store(events_to_columns([_ev(50)]), [_att(1, 20)])
         assert store.course_start_ts_ms == 20
 
     def test_empty_store_course_start_zero(self):
-        assert build_store([], []).course_start_ts_ms == 0
+        assert build_store(events_to_columns([]), []).course_start_ts_ms == 0
 
 
 class TestStoreRoundTrip:
     def test_save_load_identity(self, tmp_path):
-        rng = random.Random(3)
-        events, attempts = random_store_inputs(rng)
-        store = build_store(events, attempts)
+        store = random_store(random.Random(3))
         save_store(store, tmp_path / "store")
         again = load_store(tmp_path / "store")
         assert again == store
@@ -464,14 +462,14 @@ class TestStoreRoundTrip:
     def test_serialization_deterministic(self, tmp_path):
         rng = random.Random(4)
         events, attempts = random_store_inputs(rng)
-        store = build_store(events, attempts)
+        store = build_store(events_to_columns(events), attempts)
         save_store(store, tmp_path / "a")
         # Same multiset of inputs in a different order must serialize identically.
         shuffled_events = list(events)
         shuffled_attempts = list(attempts)
         random.Random(9).shuffle(shuffled_events)
         random.Random(9).shuffle(shuffled_attempts)
-        save_store(build_store(shuffled_events, shuffled_attempts), tmp_path / "b")
+        save_store(build_store(events_to_columns(shuffled_events), shuffled_attempts), tmp_path / "b")
         for name in ("events.jsonl", "attempts.csv", "manifest.json", *ingest.COLUMN_FILES):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
@@ -488,7 +486,7 @@ def _rehash(store_dir):
 class TestColumnarStore:
     @pytest.fixture
     def saved(self, tmp_path):
-        store = build_store(*random_store_inputs(random.Random(5)))
+        store = random_store(random.Random(5))
         save_store(store, tmp_path / "store")
         return store, tmp_path / "store"
 
@@ -513,8 +511,9 @@ class TestColumnarStore:
 
     def test_parsed_file_stores_as_its_rows_do(self, tmp_path):
         events, attempts = random_store_inputs(random.Random(6))
-        write_trace_files(tmp_path / "raw", events, attempts)
-        expected = build_store(events, attempts)
+        cols = events_to_columns(events)
+        write_trace_files(tmp_path / "raw", cols, attempts)
+        expected = build_store(cols, attempts)
         with open(tmp_path / "raw" / "events.jsonl", encoding="utf-8") as fh:
             store = build_store(parse_events(fh), attempts)
         save_store(store, tmp_path / "store")
@@ -523,7 +522,7 @@ class TestColumnarStore:
 
     def test_unsorted_within_student_rejected_after_rehash(self, tmp_path):
         d = tmp_path / "store"
-        save_store(build_store([_ev(10), _ev(20), _ev(30), _ev(5, sid="s2")], [_att(1, 100)]), d)
+        save_store(build_store(events_to_columns([_ev(10), _ev(20), _ev(30), _ev(5, sid="s2")]), [_att(1, 100)]), d)
         ts = np.load(d / "events.ts_ms.npy")
         assert ts.tolist() == [10, 20, 30, 5]
         ts[:2] = [20, 10]
@@ -544,6 +543,6 @@ class TestColumnarStore:
             load_store(d)
 
     def test_ids_with_trailing_nul_round_trip(self, tmp_path):
-        store = build_store([Event("s1\x00", "p1\x00", 5, 1.0)], [_att(1, 100, sid="s1\x00")])
+        store = build_store(events_to_columns([Event("s1\x00", "p1\x00", 5, 1.0)]), [_att(1, 100, sid="s1\x00")])
         save_store(store, tmp_path / "store")
         assert load_store(tmp_path / "store") == store

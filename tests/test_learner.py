@@ -16,10 +16,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from helpers import fit_per_feature, no_child_left, random_store_inputs, whole
+from helpers import fit_per_feature, no_child_left, random_store, whole
 from srltrace import learner
 from srltrace.features import Dataset
-from srltrace.ingest import build_store
 from srltrace.learner import (
     GbdtModel,
     TreeNode,
@@ -765,7 +764,7 @@ class TestRunComparison:
     CFG = PipelineConfig(gbdt=GbdtParams(n_rounds=3), importance_repeats=1)
 
     def _store(self):
-        return build_store(*random_store_inputs(random.Random(11), n_students=8))
+        return random_store(random.Random(11), n_students=8)
 
     def test_one_pass_per_student(self, stream_passes):
         store = self._store()
@@ -841,7 +840,7 @@ class TestSideBySide:
         assert no_child_left()
 
     def test_comparison_reports_match_in_turn(self, monkeypatch):
-        store, cfg = build_store(*random_store_inputs(random.Random(11), n_students=8)), TestRunComparison.CFG
+        store, cfg = random_store(random.Random(11), n_students=8), TestRunComparison.CFG
         forked = asdict(run_comparison(store, cfg))
         monkeypatch.delattr(os, "fork", raising=False)
         assert asdict(run_comparison(store, cfg)) == forked

@@ -97,6 +97,8 @@ def _error_classes():
 
 def test_error_classes_are_the_two_exit_codes():
     assert _error_classes() == {DataError, InvalidConfig}
+    # The package root exports them and nothing else; the rest is imported from its modules.
+    assert srltrace.__all__ == ["DataError", "InvalidConfig"]
 
 
 @pytest.mark.parametrize("error", sorted(_error_classes(), key=lambda c: c.__name__), ids=lambda c: c.__name__)
