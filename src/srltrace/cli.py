@@ -17,7 +17,7 @@ from dataclasses import asdict, fields
 from . import learner, synthgen
 from .features import FEATURE_SETS, assemble_dataset, load_dataset_csv, save_dataset_csv
 from .ingest import build_store, load_store, parse_attempts, parse_events, save_store
-from .sessionize import segment_sessions
+from .sessionize import Session, segment_sessions
 from .trace_model import DataError, GbdtParams, InvalidConfig, PipelineConfig, SessionizerConfig, in_file
 
 EXIT_OK = 0
@@ -74,7 +74,7 @@ def _cmd_synth(args, file_cfg: dict) -> int:
 def _cmd_ingest(args, file_cfg: dict) -> int:
     with in_file(args.events), open(args.events, "r", encoding="utf-8") as fh:
         events = parse_events(fh)
-    with in_file(args.attempts), open(args.attempts, "r", encoding="utf-8") as fh:
+    with in_file(args.attempts), open(args.attempts, "r", encoding="utf-8", newline="") as fh:
         attempts = parse_attempts(fh)
     with in_file(args.attempts):
         store = build_store(events, attempts)
@@ -88,33 +88,11 @@ def _cmd_sessionize(args, file_cfg: dict) -> int:
     store = load_store(args.store)
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            [
-                "student_id",
-                "session_index",
-                "start_ts_ms",
-                "end_ts_ms",
-                "num_breaks",
-                "num_backscrolls",
-                "objects_visited",
-                "active_ms",
-            ]
-        )
+        columns = Session._fields[:6]
+        writer.writerow(["student_id", "session_index", *columns])
         for sid in store.events.students:
             sessions = segment_sessions(store.events_for(sid), cfg.sessionizer)
-            for i, s in enumerate(sessions, start=1):
-                writer.writerow(
-                    [
-                        sid,
-                        i,
-                        s.start_ts_ms,
-                        s.end_ts_ms,
-                        s.num_breaks,
-                        s.num_backscrolls,
-                        s.objects_visited,
-                        s.active_ms,
-                    ]
-                )
+            writer.writerows([sid, i, *s[:len(columns)]] for i, s in enumerate(sessions, start=1))
     print(f"wrote session summary to {args.out}")
     return EXIT_OK
 

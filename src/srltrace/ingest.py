@@ -24,6 +24,8 @@ _ATTEMPT_FIELDS = ATTEMPTS_HEADER.split(",")
 PLAIN_INTEGER = re.compile(r"-?[0-9]+")
 JSON_NUMBER = re.compile(r"-?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?")
 _NUMBER_PATTERNS = (PLAIN_INTEGER,) * 3 + (JSON_NUMBER,) * 2  # the numeric attempt fields
+# Why a student or quiz id may not hold "\r": csv.writer writes it unquoted, so no output row could hold it.
+_NO_CR = "holds a carriage return, which the CSV files srltrace writes cannot hold"
 EVENT_KINDS = ("scroll", "pageload")
 _PAGELOAD = {kind: kind == "pageload" for kind in EVENT_KINDS}
 _KIND_JSON = ('"scroll"', '"pageload"')  # indexed by the pageload flag
@@ -81,6 +83,8 @@ def _parse_line(line_number: int, line: str) -> tuple:
         raise DataError(f"line {line_number}: field 'student_id' missing or not a string")
     if not isinstance(object_id, str):
         raise DataError(f"line {line_number}: field 'object_id' missing or not a string")
+    if "\r" in student_id:
+        raise DataError(f"line {line_number}: field 'student_id' {_NO_CR}")
     ts_ms = obj.get("ts_ms")
     if isinstance(ts_ms, bool) or not isinstance(ts_ms, int):
         raise DataError(f"line {line_number}: field 'ts_ms' missing or not an integer")
@@ -132,6 +136,7 @@ def _checked_chunk(lines: list[str]) -> tuple | None:
         heights = [math.nan if h is _NO_HEIGHT else h for h in heights]
     if not (
         set(map(type, student_ids)) == set(map(type, object_ids)) == {str}
+        and "\r" not in "".join(set(student_ids))
         and set(map(type, ts_ms)) == {int} and 0 <= min(ts_ms) and max(ts_ms) < MAX_TS_MS
         and set(map(type, scroll_y)) <= _NUMBER_TYPES and set(map(type, heights)) <= _NUMBER_TYPES
         and None not in pageload
@@ -183,7 +188,7 @@ def loose_number(names, values, patterns) -> str | None:
 
 
 def parse_attempts(stream: Iterable[str]) -> list[QuizAttempt]:
-    """Parse the quiz attempts CSV; the header must match exactly."""
+    """Parse the quiz attempts CSV, opened with newline=""; the header must match exactly."""
     reader = csv.reader(stream)
     try:
         header = next(reader)
@@ -192,11 +197,15 @@ def parse_attempts(stream: Iterable[str]) -> list[QuizAttempt]:
     if ",".join(header) != ATTEMPTS_HEADER:
         raise DataError(f"line 1: bad header, expected {ATTEMPTS_HEADER!r}")
     attempts: list[QuizAttempt] = []
-    for line_number, row in enumerate(reader, start=2):
+    for row in reader:
+        line_number = reader.line_num  # a quoted field may span lines
         if not row:
             continue
         if len(row) != 7:
             raise DataError(f"line {line_number}: expected 7 fields, got {len(row)}")
+        for name, value in zip(_ATTEMPT_FIELDS[:2], row[:2]):
+            if "\r" in value:
+                raise DataError(f"line {line_number}: field {name!r} {_NO_CR}")
         loose = loose_number(_ATTEMPT_FIELDS[2:], row[2:], _NUMBER_PATTERNS)
         if loose:
             raise DataError(f"line {line_number}: {loose}")
@@ -454,12 +463,7 @@ def save_store(store: TraceStore, out_dir: str | Path) -> None:
         fh.write("\n")
     manifest = {
         "format_version": STORE_FORMAT_VERSION,
-        "course_start_ts_ms": store.course_start_ts_ms,
-        "counts": {
-            "events": store.n_events,
-            "attempts": store.n_attempts,
-            "students": len(set(cols.students) | {k[0] for k in store.attempts_by_key}),
-        },
+        "counts": {"events": store.n_events, "attempts": store.n_attempts},
         "files": {name: _sha256(out / name) for name in (EVENTS_FILENAME, ATTEMPTS_FILENAME, *COLUMN_FILES)},
     }
     with open(out / MANIFEST_FILENAME, "w", encoding="utf-8") as fh:
@@ -535,7 +539,7 @@ def load_store(in_dir: str | Path) -> TraceStore:
     _verified(src / EVENTS_FILENAME, manifest)  # kept beside the columns; must not drift from them
     cols = _read_columns(src, manifest)
     path = _verified(src / ATTEMPTS_FILENAME, manifest)
-    with in_file(path), open(path, "r", encoding="utf-8") as fh:
+    with in_file(path), open(path, "r", encoding="utf-8", newline="") as fh:
         store = _index_store(cols, parse_attempts(fh))
     counts = manifest["counts"]
     if counts.get("events") != store.n_events or counts.get("attempts") != store.n_attempts:

@@ -15,7 +15,7 @@ from typing import Iterable, Iterator, NamedTuple
 import numpy as np
 
 from .ingest import EventColumns, TraceStore
-from .trace_model import QuizAttempt, ReadingSession, SessionizerConfig
+from .trace_model import QuizAttempt, SessionizerConfig
 
 
 @dataclass(frozen=True)
@@ -26,6 +26,23 @@ class ReadingWindow:
     window_start_ts_ms: int
     window_end_ts_ms: int
     events: EventColumns
+
+
+class Session(NamedTuple):
+    """One reading session.
+
+    The first six fields are the `sessions.csv` columns after the student and
+    session index, in file order; the file leaves out the last two.
+    """
+
+    start_ts_ms: int
+    end_ts_ms: int
+    num_breaks: int
+    num_backscrolls: int
+    objects_visited: int  # distinct page objects
+    active_ms: int  # end - start, less the gaps longer than the break threshold
+    event_count: int
+    object_ids: frozenset[str]
 
 
 class WindowCounts(NamedTuple):
@@ -120,24 +137,15 @@ class _StreamPass:
         return WindowCounts(sessions, breaks, backscrolls, active_ms, objects)
 
 
-def segment_sessions(events: EventColumns, cfg: SessionizerConfig) -> list[ReadingSession]:
+def segment_sessions(events: EventColumns, cfg: SessionizerConfig) -> list[Session]:
     """Segment one student's sorted scroll stream into reading sessions."""
-    ts = events.ts_ms
-    codes = events.object_code
-    sessions: list[ReadingSession] = []
+    ts, codes, objects = events.ts_ms.tolist(), events.object_code.tolist(), events.objects
+    sessions = []
     for first, stop, breaks, break_ms, backscrolls in _StreamPass(events, cfg).runs(0, len(events)):
-        start, end = int(ts[first]), int(ts[stop - 1])
+        start, end = ts[first], ts[stop - 1]
+        visited = frozenset(objects[c] for c in set(codes[first:stop]))
         sessions.append(
-            ReadingSession(
-                student_id=events.students[events.student_code[first]],
-                start_ts_ms=start,
-                end_ts_ms=end,
-                event_count=stop - first,
-                num_breaks=breaks,
-                num_backscrolls=backscrolls,
-                object_ids=frozenset(events.objects[c] for c in set(codes[first:stop].tolist())),
-                active_ms=(end - start) - break_ms,
-            )
+            Session(start, end, breaks, backscrolls, len(visited), end - start - break_ms, stop - first, visited)
         )
     return sessions
 

@@ -114,34 +114,6 @@ class QuizAttempt:
 
 
 @dataclass(frozen=True)
-class ReadingSession:
-    """A contiguous segmented reading episode with break/backscroll counts."""
-
-    student_id: str
-    start_ts_ms: int
-    end_ts_ms: int
-    event_count: int
-    num_breaks: int
-    num_backscrolls: int
-    object_ids: frozenset[str]
-    active_ms: int
-
-    def __post_init__(self) -> None:
-        if self.event_count < 1:
-            raise ValueError("a session holds at least one event")
-        if self.end_ts_ms < self.start_ts_ms:
-            raise ValueError("session ends before it starts")
-        if self.active_ms > self.end_ts_ms - self.start_ts_ms:
-            raise ValueError("active_ms exceeds elapsed time")
-        if not self.object_ids:
-            raise ValueError("a session visits at least one object")
-
-    @property
-    def objects_visited(self) -> int:
-        return len(self.object_ids)
-
-
-@dataclass(frozen=True)
 class SessionizerConfig:
     """Thresholds driving session segmentation and backscroll counting."""
 

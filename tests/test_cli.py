@@ -10,7 +10,7 @@ import warnings
 import pytest
 
 from helpers import no_child_left
-from srltrace import learner
+from srltrace import ingest, learner
 from srltrace.cli import run
 from srltrace.features import BASELINE_FEATURES, load_dataset_csv
 from srltrace.ingest import parse_events
@@ -165,6 +165,27 @@ class TestExitCodes:
         assert str(attempts) in err and "line 2" in err
         assert not (tmp_path / "store").exists()
 
+    @pytest.mark.parametrize("event_students, where", [(("c", "a\rb"), "events.jsonl: line 31"),
+                                                        (("c",), "attempts.csv: line 4")],
+                             ids=["events_and_attempts", "attempts_only"])
+    def test_carriage_return_in_student_id_names_file_and_line(self, tmp_path, capsys, event_students, where):
+        # csv.writer writes a "\r" unquoted, so no CSV output could hold this student's rows.
+        events = tmp_path / "events.jsonl"
+        events.write_text("".join(
+            json.dumps({"student_id": sid, "object_id": "p1", "ts_ms": 1000 * i, "scroll_y": 10.0 * i}) + "\n"
+            for sid in event_students for i in range(30)
+        ))
+        attempts = tmp_path / "attempts.csv"
+        # Python's reader ends a line at a lone "\r", so the record that starts on line 3 ends on line 4.
+        attempts.write_bytes(b"student_id,quiz_id,attempt_index,start_ts_ms,end_ts_ms,score,max_score\n"
+                             b"c,q1,1,40000,50000,5,10\n"
+                             b'"a\rb",q1,1,40000,50000,5,10\n')
+        code = run(["ingest", "--events", str(events), "--attempts", str(attempts),
+                    "--out", str(tmp_path / "store")])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {tmp_path / where}: field 'student_id' {ingest._NO_CR}\n"
+        assert not (tmp_path / "store").exists()
+
     @pytest.mark.parametrize("field, value", [
         ("attempt_index", "1_0"),
         ("reading_sessions", "\u0661"),
@@ -239,12 +260,12 @@ class TestExitCodes:
         assert str(store / "events.pageload.npy") in capsys.readouterr().err
 
     def test_store_without_format_version_asks_for_ingest(self, store_dir, tmp_path, capsys):
-        # The layout written before the columns: a manifest with only the course start and counts.
+        # The layout written before the columns: a manifest with counts but no format_version.
         store = tmp_path / "store"
         shutil.copytree(store_dir, store)
         manifest = store / "manifest.json"
         old = json.loads(manifest.read_text(encoding="utf-8"))
-        manifest.write_text(json.dumps({k: old[k] for k in ("course_start_ts_ms", "counts")}), encoding="utf-8")
+        manifest.write_text(json.dumps({"counts": old["counts"]}), encoding="utf-8")
         code = run(["compare", "--store", str(store), "--report", str(tmp_path / "r.json")])
         assert code == 2
         err = capsys.readouterr().err

@@ -66,6 +66,11 @@ class TestParseEvents:
         with pytest.raises(DataError, match=whole("line 2: ts_ms must be in [0, 2**63), got -5")):
             parse_events(stream)
 
+    def test_carriage_return_in_student_id_reports_line(self):
+        stream = io.StringIO(VALID_LINE + "\n" + VALID_LINE.replace('"s1"', '"s\\r1"'))
+        with pytest.raises(DataError, match=whole(f"line 2: field 'student_id' {ingest._NO_CR}")):
+            parse_events(stream)
+
     def test_invalid_json(self):
         message = "line 1: invalid JSON: Expecting property name enclosed in double quotes"
         with pytest.raises(DataError, match=f"^{message}$"):
@@ -292,6 +297,18 @@ class TestParseAttempts:
     def test_wrong_field_count(self):
         text = ATTEMPTS_HEADER + "\ns1,q1,1,0,1\n"
         with pytest.raises(DataError, match="^line 2: expected 7 fields, got 5$"):
+            parse_attempts(io.StringIO(text))
+
+    def test_record_after_a_two_line_field_reports_its_line(self):
+        text = ATTEMPTS_HEADER + '\n"s\n1",q1,1,0,10,1,2\nbad,row\n'
+        with pytest.raises(DataError, match=whole("line 4: expected 7 fields, got 2")):
+            parse_attempts(io.StringIO(text))
+
+    @pytest.mark.parametrize("ids, name", [('"s\r1",q1', "student_id"), ('s1,"q\r1"', "quiz_id")],
+                             ids=["student_id", "quiz_id"])
+    def test_carriage_return_in_id_reports_line(self, ids, name):
+        text = ATTEMPTS_HEADER + f"\ns1,q1,1,0,1,70,100\n{ids},1,0,1,70,100\n"
+        with pytest.raises(DataError, match=whole(f"line 3: field {name!r} {ingest._NO_CR}")):
             parse_attempts(io.StringIO(text))
 
     @pytest.mark.parametrize("fields, name", [

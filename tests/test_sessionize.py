@@ -78,6 +78,12 @@ class TestSegmentSessions:
         for a, b in zip(sessions, sessions[1:]):
             assert a.end_ts_ms <= b.start_ts_ms
 
+    def test_objects_visited_counts_distinct_objects(self):
+        events = [ev(0, 100, obj="a"), ev(10_000, 110, obj="b"), ev(20_000, 120, obj="a")]
+        (session,) = segment_sessions(events_to_columns(events), CFG)
+        assert session.object_ids == {"a", "b"}
+        assert session.objects_visited == 2
+
     def test_nonempty_iff_input_nonempty(self):
         assert segment_sessions(events_to_columns([ev(0, 0)]), CFG) != []
 

@@ -11,7 +11,7 @@ import pytest
 from helpers import Event, event_rows
 import srltrace
 from srltrace.ingest import parse_events
-from srltrace.trace_model import DataError, InvalidConfig, QuizAttempt, ReadingSession, SessionizerConfig
+from srltrace.trace_model import DataError, InvalidConfig, QuizAttempt, SessionizerConfig
 
 
 def event_line(ts_ms, scroll_y=0.0, page_height=None):
@@ -59,20 +59,6 @@ class TestQuizAttempt:
     def test_attempt_index_below_one_rejected(self):
         with pytest.raises(ValueError):
             QuizAttempt("s1", "q1", 0, 0, 1, 1.0, 100.0)
-
-
-class TestReadingSession:
-    def test_active_exceeding_elapsed_rejected(self):
-        with pytest.raises(ValueError):
-            ReadingSession("s1", 0, 1000, 2, 0, 0, frozenset({"p1"}), 1001)
-
-    def test_empty_objects_rejected(self):
-        with pytest.raises(ValueError):
-            ReadingSession("s1", 0, 1000, 2, 0, 0, frozenset(), 1000)
-
-    def test_objects_visited(self):
-        s = ReadingSession("s1", 0, 1000, 2, 0, 0, frozenset({"p1", "p2"}), 1000)
-        assert s.objects_visited == 2
 
 
 class TestSessionizerConfig:
